@@ -16,14 +16,24 @@ Composition ``compose(x, i, y)`` substitutes y for the i-th factor of x and
 returns, besides the canonical result, the pair of strictly increasing
 position maps (phi for x's surviving factors, psi for y's) recording where
 every factor lands.  All values are immutable; every function is pure.
+
+Elements are hash-consed: every construction looks the value up in an
+intern table, so each distinct value is built and validated once and two
+equal elements are the same object (``==`` is identity).
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import index
 
 from .errors import (
     InvalidSequence,
+    InvalidShuffle,
     LevelMismatch,
     MatchViolation,
     NotComposable,
@@ -33,48 +43,52 @@ from .errors import (
 
 
 class PlainElement:
-    """Immutable level-tagged shape; equality is structural."""
+    """Immutable level-tagged shape, interned.
 
-    __slots__ = ("level", "arity", "factors", "indices", "_hash", "_total")
+    Construction goes through ``__new__``: a value already in the intern
+    table is returned as it is; a new value is fully validated first and
+    stored only if valid.  Equal values are therefore identical objects and
+    equality is identity; the hash stays structural.
+    """
+
+    __slots__ = ("level", "arity", "factors", "indices", "_hash", "_total",
+                 "__weakref__")
+
+    def __new__(cls, level, arity=None, factors=None, indices=None,
+                allow_zero=False):
+        if level == 0 or level == 1:
+            if level == 1 and (not isinstance(arity, int)
+                               or arity < (0 if allow_zero else 1)):
+                raise RangeViolation("level-1 arity must be a positive integer, got %r" % (arity,))
+            key = (1, arity) if level else (0,)
+            self = _corollas.get(key)
+            if self is None:
+                self = _corollas.setdefault(key, _new(
+                    cls, key, level, arity if level else None, None, None,
+                    POINT if level else None))
+            return self
+        factors = tuple(factors)
+        try:
+            # the key compares indices with ==, under which 1.0 == 1
+            indices = tuple(map(index, indices))
+        except TypeError:
+            raise RangeViolation(
+                "graft indices must be integers, got %r" % (indices,)) from None
+        key = (level, factors, indices)
+        try:
+            self = _interned.get(key)
+        except TypeError:  # an unhashable factor, which validation reports
+            self = None
+        if self is None:
+            new = _new(cls, key, level, None, factors, indices,
+                       _validate(level, factors, indices))
+            with _intern_lock:  # another thread may have stored it meanwhile
+                self = _interned.setdefault(key, new)
+        return self
 
     def __init__(self, level, arity=None, factors=None, indices=None,
                  allow_zero=False):
-        self.level = level
-        self._total = None
-        if level == 0:
-            self.arity = None
-            self.factors = None
-            self.indices = None
-            self._hash = hash((0,))
-        elif level == 1:
-            if not isinstance(arity, int) or arity < (0 if allow_zero else 1):
-                raise RangeViolation("level-1 arity must be a positive integer, got %r" % (arity,))
-            self.arity = arity
-            self.factors = None
-            self.indices = None
-            self._hash = hash((1, arity))
-        else:
-            factors = tuple(factors)
-            indices = tuple(indices)
-            if not factors:
-                raise RangeViolation("level-%d element needs at least one factor" % level)
-            if len(indices) != len(factors) - 1:
-                raise RangeViolation(
-                    "expected %d graft indices for %d factors, got %d"
-                    % (len(factors) - 1, len(factors), len(indices)))
-            for f in factors:
-                if not isinstance(f, PlainElement) or f.level != level - 1:
-                    raise LevelMismatch(
-                        "factor %r is not a level-%d element" % (f, level - 1))
-            for a, b in zip(indices, indices[1:]):
-                if a > b:
-                    raise OrderViolation(
-                        "graft indices must be nondecreasing: %r" % (indices,))
-            _check_sequence(factors, indices)
-            self.arity = None
-            self.factors = factors
-            self.indices = indices
-            self._hash = hash((level, factors, indices))
+        """Nothing to set: ``__new__`` returns a shared, validated instance."""
 
     # -- basic structure -------------------------------------------------
 
@@ -91,16 +105,6 @@ class PlainElement:
         """The i-th entry of the slot sequence (1-based)."""
         return slots_F(self)[i - 1]
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PlainElement):
-            return NotImplemented
-        if self._hash != other._hash or self.level != other.level:
-            return False
-        return (self.arity == other.arity and self.factors == other.factors
-                and self.indices == other.indices)
-
     def __hash__(self):
         return self._hash
 
@@ -108,6 +112,43 @@ class PlainElement:
         from .grammar import format_element
         return "<%d:%s>" % (self.level, format_element(self))
 
+
+def _validate(level, factors, indices):
+    """Check every invariant of a level >= 2 element; returns its total."""
+    if not factors:
+        raise RangeViolation("level-%d element needs at least one factor" % level)
+    if len(indices) != len(factors) - 1:
+        raise RangeViolation(
+            "expected %d graft indices for %d factors, got %d"
+            % (len(factors) - 1, len(factors), len(indices)))
+    for f in factors:
+        if not isinstance(f, PlainElement) or f.level != level - 1:
+            raise LevelMismatch(
+                "factor %r is not a level-%d element" % (f, level - 1))
+    for a, b in zip(indices, indices[1:]):
+        if a > b:
+            raise OrderViolation(
+                "graft indices must be nondecreasing: %r" % (indices,))
+    return _check_sequence(factors, indices)
+
+
+def _new(cls, key, level, arity, factors, indices, total):
+    self = object.__new__(cls)
+    self.level = level
+    self.arity = arity
+    self.factors = factors
+    self.indices = indices
+    self._hash = hash(key)
+    self._total = total
+    return self
+
+
+# The point and the corollas are few and stay; deeper values live while
+# used.  Storing a key of ints in a dict is one atomic step; the weak-value
+# dictionary's setdefault is Python code and needs the lock.
+_corollas: dict = {}
+_interned = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
 
 POINT = PlainElement(0)
 
@@ -137,17 +178,25 @@ class ShuffleMap:
     psi: dict
 
     def check(self):
+        """True if phi and psi form a shuffle; raises InvalidShuffle otherwise."""
         tot = self.m_x + self.m_y - 1
         phi_keys = sorted(self.phi)
         psi_keys = sorted(self.psi)
-        assert phi_keys == [j for j in range(1, self.m_x + 1) if j != self.i]
-        assert psi_keys == list(range(1, self.m_y + 1))
+        if phi_keys != [j for j in range(1, self.m_x + 1) if j != self.i]:
+            raise InvalidShuffle("phi is defined on %r, not on 1..%d without %d"
+                                 % (phi_keys, self.m_x, self.i))
+        if psi_keys != list(range(1, self.m_y + 1)):
+            raise InvalidShuffle("psi is defined on %r, not on 1..%d"
+                                 % (psi_keys, self.m_y))
         phi_vals = [self.phi[j] for j in phi_keys]
         psi_vals = [self.psi[k] for k in psi_keys]
-        assert all(a < b for a, b in zip(phi_vals, phi_vals[1:]))
-        assert all(a < b for a, b in zip(psi_vals, psi_vals[1:]))
-        assert all(self.phi[j] == j for j in phi_keys if j < self.i)
-        assert sorted(phi_vals + psi_vals) == list(range(1, tot + 1))
+        for name, vals in (("phi", phi_vals), ("psi", psi_vals)):
+            if any(a >= b for a, b in zip(vals, vals[1:])):
+                raise InvalidShuffle("%s is not strictly increasing: %r" % (name, vals))
+        if any(self.phi[j] != j for j in phi_keys if j < self.i):
+            raise InvalidShuffle("phi moves a position before slot %d" % self.i)
+        if sorted(phi_vals + psi_vals) != list(range(1, tot + 1)):
+            raise InvalidShuffle("the images of phi and psi do not partition 1..%d" % tot)
         return True
 
 
@@ -171,6 +220,20 @@ class GammaSequence:
 def _check_sequence(factors, indices):
     """Range and matching constraints of a graft sequence, in application order."""
     partial = factors[0]
+    if partial.level == 1:
+        # level-1 partials are corollas: every slot holds the point, and the
+        # composite has the summed arity (as in _execute)
+        prongs = partial.arity
+        for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2):
+            if idx < 1 or idx > prongs:
+                raise RangeViolation(
+                    "index %d of factor %d outside 1..%d" % (idx, t, prongs))
+            if f._total is not POINT:
+                raise MatchViolation(
+                    "factor %d has total %r but slot %d holds %r"
+                    % (t, total_G(f), idx, POINT))
+            prongs += f.arity - 1
+        return corolla(prongs, allow_zero=True)
     for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2):
         if idx < 1 or idx > partial.m:
             raise RangeViolation(
@@ -202,15 +265,8 @@ def slots_F(x):
 
 def total_G(x):
     """The executed composite one level down (the total shape of x)."""
-    if x.level == 0:
-        raise LevelMismatch("the point has no total")
-    if x.level == 1:
-        return POINT
     if x._total is None:
-        partial = x.factors[0]
-        for f, idx in zip(x.factors[1:], x.indices):
-            partial = _execute(partial, idx, f)
-        x._total = partial
+        raise LevelMismatch("the point has no total")
     return x._total
 
 
@@ -352,15 +408,20 @@ def _sort_sequence(level, factors, indices, strategy="left"):
         seed = strategy.split(":", 1)[1] if ":" in strategy else "0"
         rng = _random.Random(seed)
 
-    # partial[t] = executed composite of factors[0..t]
-    partial = [factors[0]]
-    for t in range(1, k):
-        partial.append(_execute(partial[t - 1], indices[t - 1], factors[t]))
+    # partial[t] = executed composite of factors[0..t]; at level 2 it is a
+    # corolla and only its arity is kept
+    if level == 2:
+        partial = list(accumulate((f.arity - 1 for f in factors[1:]),
+                                  initial=factors[0].arity))
+    else:
+        partial = [factors[0]]
+        for t in range(1, k):
+            partial.append(_execute(partial[t - 1], indices[t - 1], factors[t]))
 
-    while True:
-        inversions = [t for t in range(k - 2) if indices[t] > indices[t + 1]]
-        if not inversions:
-            break
+    # inversions: the sorted positions t with indices[t] > indices[t + 1];
+    # a swap at t can only change the pairs at t - 1, t and t + 1
+    inversions = [t for t in range(k - 2) if indices[t] > indices[t + 1]]
+    while inversions:
         if strategy == "left":
             t = inversions[0]
         elif strategy == "right":
@@ -371,13 +432,26 @@ def _sort_sequence(level, factors, indices, strategy="left"):
         u, v = factors[t + 1], factors[t + 2]
         w = partial[t]
         # v moves left to slot a; u is re-indexed by the shuffle of (w, a, v)
-        _, sh = compose(w, a, v)
+        if level == 2:
+            # the level-1 shuffle of (w, a, v), as in _compose: b > a moves
+            # right by v's arity - 1
+            indices[t + 1] = b + v.arity - 1
+            partial[t + 1] = w + v.arity - 1
+        else:
+            partial[t + 1], sh = compose(w, a, v)
+            indices[t + 1] = sh.phi[b]
         indices[t] = a
-        indices[t + 1] = sh.phi[b]
         factors[t + 1], factors[t + 2] = v, u
         pos[t + 1], pos[t + 2] = pos[t + 2], pos[t + 1]
-        partial[t + 1] = _execute(w, a, v)
         # partial[t + 2] is unchanged by the rewrite
+        for s in range(max(t - 1, 0), min(t + 2, k - 2)):
+            j = bisect_left(inversions, s)
+            listed = j < len(inversions) and inversions[j] == s
+            if indices[s] > indices[s + 1]:
+                if not listed:
+                    inversions.insert(j, s)
+            elif listed:
+                del inversions[j]
 
     elem = PlainElement(level, factors=factors, indices=indices)
     perm = [0] * k
@@ -584,12 +658,3 @@ def decompose_head(z):
     result.sort(key=lambda att: att.slot)
     return HeadForm(head, tuple(result))
 
-
-def validate_literal(level, factors=None, indices=None, arity=None,
-                     allow_zero=False):
-    """Build and validate an element from parsed pieces (used by the grammar)."""
-    if level == 0:
-        return POINT
-    if level == 1:
-        return corolla(arity, allow_zero=allow_zero)
-    return PlainElement(level, factors=factors, indices=indices)

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .elements import POINT, PlainElement, corolla, slots_F, total_G
+from .errors import RangeViolation
 from .grammar import format_element
 
 
@@ -53,7 +54,7 @@ def _step(partial, idx, g):
 def count_binary(k):
     """Number of level-2 elements with k factors, all of arity 2."""
     if k < 1:
-        raise ValueError("k >= 1")
+        raise RangeViolation("binary count needs k >= 1, got %d" % k)
     total = 0
 
     def extend(j, prongs, last):

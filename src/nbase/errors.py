@@ -33,6 +33,10 @@ class InvalidSequence(NBaseError):
     """A raw application sequence violates range or matching at some step."""
 
 
+class InvalidShuffle(NBaseError):
+    """Position maps of a composition do not form a shuffle."""
+
+
 class DegreeMismatch(NBaseError):
     """A permutation's degree does not match the object it should act on."""
 

@@ -32,7 +32,7 @@ from .elements import (
     graft_at_slot,
     total_G,
 )
-from .errors import NotImplementedLevel, OutOfRange, ParseError
+from .errors import LevelMismatch, NotImplementedLevel, OutOfRange, ParseError
 
 
 # -- notation ---------------------------------------------------------------
@@ -362,7 +362,9 @@ def _encode(beta, n):
     z = embed(head)
     # anchors are slots of the head; graft largest-anchor first
     for anchor, chain in sorted(reqs, key=lambda r: -r[0]):
-        assert chain["level"] == n
+        if chain["level"] != n:
+            raise LevelMismatch("request chain at level %d, expected %d"
+                                % (chain["level"], n))
         z = graft_at_slot(z, anchor, chain["att"]).element
     return z
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .errors import NotBinary, Overflow
+from .errors import NotBinary, Overflow, RangeViolation
 from .units import _owner_of_prong
 
 
@@ -37,8 +37,8 @@ class Presentation:
         for r in self.relators:
             for letter in r:
                 if letter == 0 or abs(letter) > self.generators:
-                    raise ValueError("letter %d outside generators 1..%d"
-                                     % (letter, self.generators))
+                    raise RangeViolation("letter %d outside generators 1..%d"
+                                         % (letter, self.generators))
 
     def gap_words(self):
         """Plain-text relator words like a1*a2*a1*a2."""
@@ -55,7 +55,7 @@ class Presentation:
 def symmetric_presentation(n):
     """Adjacent-transposition presentation of the permutations of n letters."""
     if n < 2:
-        raise ValueError("n >= 2")
+        raise RangeViolation("symmetric presentation needs n >= 2, got %d" % n)
     rels = []
     for i in range(1, n):
         rels.append((i, i))

@@ -115,6 +115,16 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "RangeViolation" in err
 
 
+def test_enum_binary_zero_is_a_domain_error(capsys):
+    code, _out, err = run(capsys, "enum", "--level", "2", "--binary", "0")
+    assert code == 1 and "RangeViolation" in err and "Traceback" not in err
+
+
+def test_group_order_sym_one_is_a_domain_error(capsys):
+    code, _out, err = run(capsys, "group", "order", "--sym", "1")
+    assert code == 1 and "RangeViolation" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["compose"])

@@ -1,8 +1,17 @@
+import json
+import os
+import random
+import subprocess
+import sys
+import threading
+
 import pytest
 
+from oracle_trees import build_tree, preorder, serialize
 from nbase.elements import (
     GammaSequence,
     POINT,
+    ShuffleMap,
     arity_m,
     check_associativity,
     check_phi_long,
@@ -12,6 +21,7 @@ from nbase.elements import (
     decompose_head,
     embed,
     graft_at_slot,
+    make,
     normalize,
     shuffle,
     slots_F,
@@ -19,13 +29,16 @@ from nbase.elements import (
 )
 from nbase.errors import (
     InvalidSequence,
+    InvalidShuffle,
     LevelMismatch,
     MatchViolation,
     NotComposable,
     OrderViolation,
     RangeViolation,
 )
-from nbase.grammar import parse_element
+from nbase.grammar import element_from_json, element_to_json, parse_element
+from nbase.randgen import random_gamma
+from nbase.trees import from_tree, to_tree
 
 
 def pe(text, **kw):
@@ -59,6 +72,11 @@ class TestValidate:
         # a 3-leaf total cannot graft there
         with pytest.raises(MatchViolation):
             pe("[[2|],[3|]|1]")
+
+    def test_level2_factor_of_wrong_level(self):
+        for factor in (pe("[2|]"), POINT):
+            with pytest.raises((InvalidSequence, LevelMismatch)):
+                GammaSequence(2, (corolla(2), factor), (1,)).validate()
 
     def test_zero_arity_rejected_by_default(self):
         with pytest.raises(RangeViolation):
@@ -195,6 +213,54 @@ class TestNormalize:
         with pytest.raises(InvalidSequence):
             GammaSequence(2, (corolla(2), corolla(2)), (5,)).validate()
 
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    def test_long_sequences_match_tree_oracle(self, k):
+        # the reversed fan grafts a 2-corolla on every prong of a k-corolla,
+        # right to left, so every pair of indices starts out inverted
+        fan = GammaSequence(2, (corolla(k),) + (corolla(2),) * k,
+                            tuple(range(k, 0, -1)))
+        rng = random.Random(k)
+        for g in [fan] + [random_gamma(2, rng, steps=k) for _ in range(4)]:
+            arities = [f.arity for f in g.factors]
+            root = build_tree(arities, list(g.indices), "r")
+            canon_arities, canon_indices = serialize(root)
+            positions = [0] * len(arities)
+            for pos, node in enumerate(preorder(root), start=1):
+                positions[node["tag"][1] - 1] = pos
+            want = (make(2, [corolla(a) for a in canon_arities], canon_indices),
+                    tuple(positions))
+            for strategy in ("left", "right", "random:%d" % rng.randrange(10 ** 6)):
+                assert normalize(g, strategy) == want
+
+
+class TestShuffleMapCheck:
+    @pytest.mark.parametrize("sh", [
+        ShuffleMap(1, 2, 2, {}, {1: 1, 2: 2}),             # phi misses slot 2
+        ShuffleMap(1, 2, 2, {2: 3}, {1: 2}),               # psi misses 2
+        ShuffleMap(1, 2, 2, {2: 3}, {1: 2, 2: 1}),         # psi decreases
+        ShuffleMap(2, 2, 2, {1: 3}, {1: 1, 2: 2}),         # phi moves slot 1
+        ShuffleMap(1, 2, 2, {2: 2}, {1: 1, 2: 2}),         # images overlap
+    ])
+    def test_malformed_map_raises(self, sh):
+        with pytest.raises(InvalidShuffle):
+            sh.check()
+
+    def test_check_survives_optimized_mode(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("from nbase.elements import ShuffleMap\n"
+                "from nbase.errors import InvalidShuffle\n"
+                "print(__debug__)\n"
+                "try:\n"
+                "    ShuffleMap(1, 2, 2, {2: 3}, {1: 2, 2: 1}).check()\n"
+                "except InvalidShuffle:\n"
+                "    print('raised')\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "raised"]
+
 
 class TestAxiomChecks:
     def test_level1_associativity(self):
@@ -277,6 +343,76 @@ class TestGraft:
     def test_graft_content_mismatch(self):
         with pytest.raises(NotComposable):
             graft_at_slot(embed(pe("[2,2|1]")), 1, embed(pe("[3|]")))
+
+
+class TestInterning:
+    def test_every_construction_path_returns_one_object(self):
+        for lit in ("[3,2,4,3|1,4,5]", "[[2,2|1],[2|]|1]", "5"):
+            x = pe(lit)
+            assert pe(lit.replace(",", " , ")) is x
+            blob = json.loads(json.dumps(element_to_json(x)))
+            assert element_from_json(blob) is x
+            if x.level >= 2:
+                assert make(x.level, list(x.factors), list(x.indices)) is x
+        x = pe("[3,2,4,3|1,4,5]")
+        assert make(2, [corolla(a) for a in (3, 2, 4, 3)], [1, 4, 5]) is x
+        assert from_tree(to_tree(x)) is x
+        assert compose(x, 3, pe("[3,2|2]"))[0] is pe("[3,2,3,2,3|1,4,5,5]")
+
+    def test_invalid_corollas_raise_on_every_call(self):
+        zero = corolla(0, allow_zero=True)
+        assert corolla(0, allow_zero=True) is zero
+        for _ in range(2):
+            with pytest.raises(RangeViolation):
+                corolla(0)
+            with pytest.raises(RangeViolation):
+                corolla(1.0)
+        assert corolla(1) is pe("1", level=1)
+
+    @pytest.mark.parametrize("lit, error", [
+        ("[2,2,2|2,1]", OrderViolation),
+        ("[[2|],[3|]|1]", MatchViolation),
+        ("[2,2|3]", RangeViolation),
+    ])
+    def test_invalid_literals_raise_on_every_call(self, lit, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                pe(lit)
+
+    def test_non_integer_index_does_not_match_an_interned_value(self):
+        x = pe("[2,2|1]")
+        for _ in range(2):
+            with pytest.raises(RangeViolation):
+                make(2, x.factors, [1.0])
+        assert make(2, x.factors, [1]) is x
+
+
+    def test_concurrent_construction_yields_one_object(self):
+        # literals no other test builds, so every thread starts on a miss
+        lits = ["[%d,%d,2|1,%d]" % (200 + n, 2 + n % 3, 2 + n % 5)
+                for n in range(150)]
+        workers = 6
+        results = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def build(w):
+            barrier.wait(timeout=30)
+            results[w] = [pe(lit) for lit in lits]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(w,))
+                       for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for built in zip(*results):
+            assert all(x is built[0] for x in built)
 
 
 def test_structural_equality_and_hash():

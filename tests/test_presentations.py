@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from nbase.enumeration import enumerate_elements
-from nbase.errors import NotBinary, Overflow
+from nbase.errors import NotBinary, Overflow, RangeViolation
 from nbase.grammar import parse_element as pe
 from nbase.presentations import (
     Presentation,
@@ -37,6 +37,11 @@ class TestToddCoxeter:
 
     def test_free_reduction(self):
         assert free_reduce((1, -1, 2, 2, -2)) == (2,)
+
+    def test_letter_outside_generators(self):
+        for rel in ((1, 3), (0,)):
+            with pytest.raises(RangeViolation):
+                Presentation(2, (rel,))
 
     def test_overflow(self):
         # free product Z/2 * Z/2 * Z/2 is infinite
