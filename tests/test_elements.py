@@ -74,9 +74,10 @@ class TestValidate:
             pe("[[2|],[3|]|1]")
 
     def test_level2_factor_of_wrong_level(self):
-        for factor in (pe("[2|]"), POINT):
-            with pytest.raises((InvalidSequence, LevelMismatch)):
-                GammaSequence(2, (corolla(2), factor), (1,)).validate()
+        with pytest.raises(InvalidSequence):
+            GammaSequence(2, (corolla(2), pe("[2|]")), (1,)).validate()
+        with pytest.raises(LevelMismatch):
+            GammaSequence(2, (corolla(2), POINT), (1,)).validate()
 
     def test_zero_arity_rejected_by_default(self):
         with pytest.raises(RangeViolation):
