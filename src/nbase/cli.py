@@ -39,6 +39,17 @@ from .render import render
 from .selftest import SUITES, run_suite
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r"
+                                         % text)
+    return value
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="nbase", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -99,11 +110,18 @@ def _parser():
     gsub = sp.add_subparsers(dest="group_command", required=True)
     for name in ("present", "order", "verify"):
         gp = gsub.add_parser(name)
-        gp.add_argument("--sym", type=int, default=None,
-                        help="symmetric presentation on n letters")
-        gp.add_argument("--tree", default=None,
-                        help="binary level-2 element literal")
-        gp.add_argument("--max-cosets", type=int, default=100_000)
+        source = gp
+        if name != "verify":
+            source = gp.add_mutually_exclusive_group(required=True)
+            source.add_argument("--sym", type=int, default=None,
+                                help="symmetric presentation on n letters")
+        source.add_argument("--tree", default=None, required=name == "verify",
+                            help="binary level-2 element literal")
+        gp.add_argument("--max-cosets", type=_positive_int, default=100_000,
+                        help="cap on live cosets (default 100000, enough "
+                             "for every tree up to 8 nodes); verify takes "
+                             "the generated order from Schreier-Sims, "
+                             "which needs no cap")
         gp.add_argument("--gap", action="store_true",
                         help="print relators as plain words")
 
@@ -312,8 +330,6 @@ def _dispatch_ord(args):
 
 
 def _group_presentation(args):
-    if (args.sym is None) == (args.tree is None):
-        raise SystemExit(2)
     if args.sym is not None:
         return symmetric_presentation(args.sym), None
     x = parse_element(args.tree, level=2)
@@ -336,8 +352,6 @@ def _dispatch_group(args):
         print(ct.order if ct.complete else "incomplete")
         return 0
     if args.group_command == "verify":
-        if args.tree is None:
-            raise SystemExit(2)
         x = parse_element(args.tree, level=2)
         rep = verify_symmetric_realization(x, max_cosets=args.max_cosets)
         print("nodes %d edges %d relators %s generated %d enumerated %d iso %s"

@@ -8,6 +8,7 @@ number of live cosets is the group order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
@@ -69,85 +70,119 @@ def symmetric_presentation(n):
 
 @dataclass
 class CosetTable:
-    """Enumeration state; complete tables expose the group order."""
+    """Enumeration state; complete tables expose the group order.
+
+    `rows` holds the live cosets renumbered 0..live-1 in definition order:
+    column 2(g-1) is generator g, column 2(g-1)+1 its inverse.  `defined`
+    counts every coset ever defined (coset 0 included), `merged` those
+    identified with an earlier one by coincidence, so live = defined - merged.
+    """
     generators: int
     rows: list = field(default_factory=list)
     complete: bool = False
     order: int = None
     live: int = None
+    defined: int = None
+    merged: int = None
 
 
 def todd_coxeter(pres, max_cosets=100_000):
-    """Enumerate cosets of the trivial subgroup; deterministic HLT strategy."""
+    """Enumerate cosets of the trivial subgroup; deterministic HLT strategy.
+
+    `max_cosets` caps the live cosets; a definition beyond it raises
+    `Overflow`.  Rows of cosets lost to coincidences are dropped as soon as
+    they are processed, so memory follows the live count.
+    """
     g = pres.generators
     ncols = 2 * g
-
-    def col(letter):
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-    def inv_col(c):
-        return c ^ 1
+    # Column of letter l is 2(l-1), of l^-1 it is 2(l-1)+1; c ^ 1 inverts.
+    scans = []
+    for r in pres.relators:
+        if r:
+            cols = tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in r)
+            scans.append((cols, tuple(c ^ 1 for c in cols), len(cols) - 1))
 
     table = [[None] * ncols]
     p = [0]
+    live = 1
+    merged = 0
 
     def rep(a):
-        while p[a] != a:
-            a = p[a]
-        return a
+        root = a
+        while p[root] != root:
+            root = p[root]
+        while p[a] != root:
+            p[a], a = root, p[a]
+        return root
 
     def define(a, c):
-        if len(table) >= max_cosets:
-            raise Overflow("coset cap %d exceeded" % max_cosets)
+        nonlocal live
+        if live >= max_cosets:
+            raise Overflow("coset cap %d exceeded: defined %d, live %d, merged %d"
+                           % (max_cosets, len(table), live, merged))
         b = len(table)
-        table.append([None] * ncols)
+        row = [None] * ncols
+        row[c ^ 1] = a
+        table.append(row)
         p.append(b)
         table[a][c] = b
-        table[b][inv_col(c)] = a
+        live += 1
         return b
 
     def merge(a, b, queue):
+        nonlocal live, merged
         a, b = rep(a), rep(b)
         if a != b:
-            a, b = min(a, b), max(a, b)
+            if b < a:
+                a, b = b, a
             p[b] = a
             queue.append(b)
+            live -= 1
+            merged += 1
 
     def coincidence(a, b):
-        queue = []
+        queue = deque()
         merge(a, b, queue)
         while queue:
-            dead = queue.pop(0)
+            dead = queue.popleft()
+            row = table[dead]
             for c in range(ncols):
-                d = table[dead][c]
+                d = row[c]
                 if d is None:
                     continue
-                table[dead][c] = None
-                if table[d][inv_col(c)] == dead:
-                    table[d][inv_col(c)] = None
+                row[c] = None
+                ci = c ^ 1
+                if table[d][ci] == dead:
+                    table[d][ci] = None
                 mu, nu = rep(dead), rep(d)
                 if table[mu][c] is not None:
                     merge(nu, table[mu][c], queue)
-                elif table[nu][inv_col(c)] is not None:
-                    merge(mu, table[nu][inv_col(c)], queue)
+                elif table[nu][ci] is not None:
+                    merge(mu, table[nu][ci], queue)
                 else:
                     table[mu][c] = nu
-                    table[nu][inv_col(c)] = mu
+                    table[nu][ci] = mu
+            table[dead] = None
 
-    def scan_and_fill(a, word):
-        cols = [col(l) for l in word]
+    def scan_and_fill(a, cols, icols, last):
         f, b = a, a
-        fi, bi = 0, len(cols) - 1
+        fi, bi = 0, last
         while True:
-            while fi <= bi and table[f][cols[fi]] is not None:
-                f = table[f][cols[fi]]
+            while fi <= bi:
+                nxt = table[f][cols[fi]]
+                if nxt is None:
+                    break
+                f = nxt
                 fi += 1
             if fi > bi:
                 if f != b:
                     coincidence(f, b)
                 return
-            while bi >= fi and table[b][inv_col(cols[bi])] is not None:
-                b = table[b][inv_col(cols[bi])]
+            while bi >= fi:
+                nxt = table[b][icols[bi]]
+                if nxt is None:
+                    break
+                b = nxt
                 bi -= 1
             if bi < fi:
                 if f != b:
@@ -155,34 +190,49 @@ def todd_coxeter(pres, max_cosets=100_000):
                 return
             if bi == fi:
                 table[f][cols[fi]] = b
-                table[b][inv_col(cols[fi])] = f
+                table[b][icols[fi]] = f
                 return
             f = define(f, cols[fi])
             fi += 1
 
     a = 0
     while a < len(table):
-        if rep(a) != a:
+        if p[a] != a:
             a += 1
             continue
-        for r in pres.relators:
-            if not r:
-                continue
-            scan_and_fill(a, r)
-            if rep(a) != a:
+        for cols, icols, last in scans:
+            scan_and_fill(a, cols, icols, last)
+            if p[a] != a:
                 break
-        if rep(a) == a:
+        if p[a] == a:
+            row = table[a]
             for c in range(ncols):
-                if table[a][c] is None:
+                if row[c] is None:
                     define(a, c)
         a += 1
 
-    live = [i for i in range(len(table)) if rep(i) == i]
-    ct = CosetTable(generators=g, rows=[table[i][:] for i in live])
-    ct.live = len(live)
-    ct.complete = all(all(e is not None for e in table[i]) for i in live)
-    if ct.complete:
-        ct.order = len(live)
+    # Compact in place: live rows keep their order and are renumbered.
+    defined = len(table)
+    new_id = [None] * defined
+    k = 0
+    for i in range(defined):
+        if table[i] is not None:
+            new_id[i] = k
+            table[k] = table[i]
+            k += 1
+    del table[k:]
+    complete = True
+    for row in table:
+        for c in range(ncols):
+            d = row[c]
+            if d is None:
+                complete = False
+            else:
+                row[c] = new_id[d]
+    ct = CosetTable(generators=g, rows=table, complete=complete, live=k,
+                    defined=defined, merged=merged)
+    if complete:
+        ct.order = k
     return ct
 
 
@@ -259,20 +309,93 @@ def _word_to_perm(word, gens, n):
     return perm
 
 
-def _closure_order(gens, n):
-    identity = tuple(range(1, n + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _perm_mul(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
+def schreier_sims_order(gens, n):
+    """Order of the group generated by permutation tuples over 1..n.
+
+    Deterministic Schreier-Sims (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 4.4.2): build a base and strong generating
+    set, then multiply the basic orbit lengths.  Work and memory are
+    polynomial in n and the generator count; no group element is listed.
+    """
+    ident = tuple(range(n))
+
+    def mul(a, b):  # apply a, then b
+        return tuple([b[i] for i in a])
+
+    def inv(a):
+        out = [0] * n
+        for i, v in enumerate(a):
+            out[v] = i
+        return tuple(out)
+
+    def moved(h):
+        return next(i for i in range(n) if h[i] != i)
+
+    base, strong = [], []
+    for gen in gens:
+        h = tuple(v - 1 for v in gen)
+        if h == ident:
+            continue
+        if all(h[b] == b for b in base):
+            base.append(moved(h))
+        strong.append(h)
+
+    def basic_orbit(i):
+        """Generators fixing base[:i] and a transversal of base[i] under them:
+        u = trans[x] maps base[i] to x."""
+        fixed = base[:i]
+        level = [s for s in strong if all(s[b] == b for b in fixed)]
+        trans = {base[i]: ident}
+        todo = [base[i]]
+        for x in todo:
+            u = trans[x]
+            for s in level:
+                y = s[x]
+                if y not in trans:
+                    trans[y] = mul(u, s)
+                    todo.append(y)
+        return level, trans
+
+    def strip(h, i):
+        """Sift h through levels i.. and return the residue and the level it
+        stopped at (len(base) when it passed every level)."""
+        for j in range(i, len(base)):
+            u = chain[j][1].get(h[base[j]])
+            if u is None:
+                return h, j
+            h = mul(h, inv(u))
+        return h, len(base)
+
+    def failing_schreier_generator(i):
+        """A Schreier generator of level i that does not sift to the
+        identity, as (residue, level it stopped at), or None."""
+        level, trans = chain[i]
+        for x, u in trans.items():
+            for s in level:
+                h, j = strip(mul(mul(u, s), inv(trans[s[x]])), i + 1)
+                if j < len(base) or h != ident:
+                    return h, j
+        return None
+
+    chain = [basic_orbit(i) for i in range(len(base))]
+    i = len(base) - 1
+    while i >= 0:
+        found = failing_schreier_generator(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(moved(h))
+            chain.append(None)
+        strong.append(h)
+        for k in range(i + 1, j + 1):
+            chain[k] = basic_orbit(k)
+        i = j
+    order = 1
+    for _level, trans in chain:
+        order *= len(trans)
+    return order
 
 
 @dataclass(frozen=True)
@@ -290,7 +413,9 @@ def verify_symmetric_realization(x, max_cosets=100_000):
 
     Every relator must map to the identity permutation, the transpositions
     must generate all node permutations, and coset enumeration of the
-    presentation must give the same factorial order.
+    presentation must give the same factorial order.  The generated order
+    comes from Schreier-Sims on the transpositions, independently of the
+    coset enumeration it is compared with.
     """
     pres, es = tree_presentation(x)
     n = es.node_count
@@ -301,7 +426,7 @@ def verify_symmetric_realization(x, max_cosets=100_000):
         gens.append(tuple(perm))
     identity = tuple(range(1, n + 1))
     holds = all(_word_to_perm(r, gens, n) == identity for r in pres.relators)
-    gen_order = _closure_order(gens, n) if gens else 1
+    gen_order = schreier_sims_order(gens, n)
     ct = todd_coxeter(pres, max_cosets=max_cosets)
     enum_order = ct.order if ct.complete else -1
     iso = holds and gen_order == factorial(n) and enum_order == factorial(n)

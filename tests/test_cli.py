@@ -142,3 +142,31 @@ def test_roundtrip_parse_print(capsys):
     for level in (2, 3):
         for e in enumerate_elements(level, 2, 2):
             assert parse_element(format_element(e)) == e
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "order"],
+    ["group", "present"],
+    ["group", "verify"],
+    ["group", "order", "--sym", "4", "--tree", "[2,2|1]"],
+    ["group", "present", "--sym", "4", "--tree", "[2,2|1]"],
+    ["group", "verify", "--sym", "4"],
+    ["group", "order", "--sym", "4", "--max-cosets", "0"],
+    ["group", "order", "--sym", "4", "--max-cosets", "-5"],
+    ["group", "verify", "--tree", "[2,2|1]", "--max-cosets", "0"],
+])
+def test_group_usage_errors_print_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: nbase group") and "error:" in err
+    assert "Overflow" not in err and "Traceback" not in err
+
+
+def test_group_cap_overflow_reports_counts(capsys):
+    code, _out, err = run(capsys, "group", "verify", "--tree", "[2,2,2|1,1]",
+                          "--max-cosets", "3")
+    assert code == 1
+    assert err.strip() == ("Overflow: coset cap 3 exceeded: defined 3, live 3, "
+                           "merged 0")

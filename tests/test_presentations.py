@@ -1,3 +1,5 @@
+import random
+import re
 from math import factorial
 
 import pytest
@@ -9,11 +11,13 @@ from nbase.presentations import (
     Presentation,
     edge_structure,
     free_reduce,
+    schreier_sims_order,
     symmetric_presentation,
     todd_coxeter,
     tree_presentation,
     verify_symmetric_realization,
 )
+from oracle_perms import closure_order
 
 
 def binary_shapes(k):
@@ -140,3 +144,121 @@ class TestRealization:
                 mors = [m for m in two_morphisms_between(x, x)
                         if m.sigma == tuple(sigma)]
                 assert len(mors) == 1
+
+
+def columns(word):
+    return [2 * l - 2 if l > 0 else -2 * l - 1 for l in word]
+
+
+class TestCosetTable:
+    @pytest.mark.parametrize("pres", [
+        symmetric_presentation(4), symmetric_presentation(5),
+        symmetric_presentation(6),
+        tree_presentation(pe("[2,2,2,2|1,1,3]"))[0],
+        tree_presentation(pe("[2,2,2,2,2,2|1,2,2,4,6]"))[0]])
+    def test_rows_are_the_regular_action(self, pres):
+        ct = todd_coxeter(pres)
+        order = ct.order
+        assert ct.complete and len(ct.rows) == order
+        for c in range(2 * pres.generators):
+            image = [row[c] for row in ct.rows]
+            assert sorted(image) == list(range(order))
+            back = [row[c ^ 1] for row in ct.rows]
+            assert all(back[image[i]] == i for i in range(order))
+        for r in pres.relators:
+            cols = columns(r)
+            for coset in range(order):
+                x = coset
+                for c in cols:
+                    x = ct.rows[x][c]
+                assert x == coset
+
+    @pytest.mark.parametrize("n,defined", [(4, 35), (5, 220), (6, 1513),
+                                           (7, 12145)])
+    def test_definition_count_is_pinned(self, n, defined):
+        # the HLT definition order fixes how many cosets are ever defined
+        ct = todd_coxeter(symmetric_presentation(n))
+        assert ct.defined == defined
+        assert ct.defined - ct.merged == ct.live == ct.order == factorial(n)
+
+    def test_cap_counts_live_cosets(self):
+        # S7 defines 12145 cosets but never holds more than 6000 live
+        ct = todd_coxeter(symmetric_presentation(7), max_cosets=6000)
+        assert ct.order == 5040 and ct.defined > 6000
+
+    def test_overflow_reports_counts(self):
+        p = Presentation(3, ((1, 1), (2, 2), (3, 3)))
+        with pytest.raises(Overflow) as exc:
+            todd_coxeter(p, max_cosets=500)
+        m = re.fullmatch(r"coset cap 500 exceeded: defined (\d+), live 500, "
+                         r"merged (\d+)", str(exc.value))
+        assert m and int(m.group(1)) - int(m.group(2)) == 500
+
+
+def transposition(n, u, v):
+    perm = list(range(1, n + 1))
+    perm[u - 1], perm[v - 1] = v, u
+    return tuple(perm)
+
+
+def cycle(n, *points):
+    perm = list(range(1, n + 1))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a - 1] = b
+    return tuple(perm)
+
+
+class TestSchreierSims:
+    def test_every_binary_shape_up_to_seven_nodes(self):
+        oracle = {}
+        for k in range(2, 8):
+            for x in binary_shapes(k):
+                edges = edge_structure(x).edges
+                gens = [transposition(k, u, v) for u, v in edges]
+                if edges not in oracle:
+                    oracle[edges] = closure_order(gens, k)
+                assert schreier_sims_order(gens, k) == oracle[edges] == factorial(k)
+
+    @pytest.mark.parametrize("n,edges", [
+        (6, ((1, 2), (2, 3), (4, 5))),
+        (7, ((1, 2), (3, 4), (4, 5), (6, 7))),
+        (5, ()),
+    ])
+    def test_disconnected_edge_sets(self, n, edges):
+        gens = [transposition(n, u, v) for u, v in edges]
+        got = schreier_sims_order(gens, n)
+        assert got == closure_order(gens, n) < factorial(n)
+
+    @pytest.mark.parametrize("n,gens", [
+        (6, [cycle(6, 1, 2, 3, 4, 5, 6), transposition(6, 1, 2)]),
+        (5, [cycle(5, 1, 2, 3), cycle(5, 3, 4, 5)]),
+        (6, [cycle(6, 1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)]),
+        (7, [cycle(7, 1, 2, 3), cycle(7, 4, 5), cycle(7, 6, 7)]),
+        (7, [cycle(7, 1, 2, 3, 4, 5, 6, 7), cycle(7, 1, 2, 4)]),
+    ])
+    def test_other_generating_sets(self, n, gens):
+        assert schreier_sims_order(gens, n) == closure_order(gens, n)
+
+    def test_random_generating_sets(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                gens.append(tuple(perm))
+            assert schreier_sims_order(gens, n) == closure_order(gens, n)
+
+
+class TestEightNodeRealization:
+    @pytest.mark.parametrize("literal", [
+        "[2,2,2,2,2,2,2,2|1,1,1,1,1,1,1]",   # left comb
+        "[2,2,2,2,2,2,2,2|2,3,4,5,6,7,8]",   # right comb
+        "[2,2,2,2,2,2,2,2|1,3,3,4,4,7,8]",   # seeded, random.Random(1)
+        "[2,2,2,2,2,2,2,2|1,1,1,3,4,6,7]",   # seeded, random.Random(2)
+    ])
+    def test_verifies_at_the_default_cap(self, literal):
+        rep = verify_symmetric_realization(pe(literal))
+        assert rep.relators_hold and rep.isomorphic
+        assert rep.generated_order == rep.enumerated_order == 40320
