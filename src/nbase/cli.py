@@ -50,6 +50,17 @@ def _positive_int(text):
     return value
 
 
+class _LeafParser(argparse.ArgumentParser):
+    """A subcommand parser that reports unrecognized arguments with its own
+    usage line, instead of leaving them to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: %s" % " ".join(extra))
+        return namespace, extra
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="nbase", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -107,7 +118,8 @@ def _parser():
     oa.add_argument("b")
 
     sp = sub.add_parser("group", help="presentations and coset enumeration")
-    gsub = sp.add_subparsers(dest="group_command", required=True)
+    gsub = sp.add_subparsers(dest="group_command", required=True,
+                             parser_class=_LeafParser)
     for name in ("present", "order", "verify"):
         gp = gsub.add_parser(name)
         source = gp
@@ -117,13 +129,16 @@ def _parser():
                                 help="symmetric presentation on n letters")
         source.add_argument("--tree", default=None, required=name == "verify",
                             help="binary level-2 element literal")
-        gp.add_argument("--max-cosets", type=_positive_int, default=100_000,
-                        help="cap on live cosets (default 100000, enough "
-                             "for every tree up to 8 nodes); verify takes "
-                             "the generated order from Schreier-Sims, "
-                             "which needs no cap")
-        gp.add_argument("--gap", action="store_true",
-                        help="print relators as plain words")
+        if name == "present":
+            gp.add_argument("--gap", action="store_true",
+                            help="print relators as plain words")
+        else:
+            gp.add_argument("--max-cosets", type=_positive_int,
+                            default=100_000,
+                            help="cap on live cosets (default 100000, enough "
+                                 "for every tree up to 8 nodes); verify takes "
+                                 "the generated order from Schreier-Sims, "
+                                 "which needs no cap")
 
     sp = sub.add_parser("enum", help="enumerate elements within bounds")
     sp.add_argument("--level", type=int, required=True)

@@ -328,54 +328,97 @@ def _compose(x, i, y):
 def _splice(x, i, y):
     """Raw factor/index lists with y's factors substituted for x's factor i.
 
-    y's first factor takes over x's graft index at position i; the graft
-    index of each later y-factor is translated from y-local slot numbering
-    to ambient numbering through the slot maps of the level-(n-1) grafts
-    performed so far.  x's trailing indices are reused verbatim: the
-    level-(n-1) partial composites before and after the splice are equal.
+    y's first factor takes over x's graft index at position i and the later
+    y-factors are grafted where y's own slots landed in the partial
+    composite; for i == 1 there is no prefix and y's indices are already
+    ambient.  x's trailing indices are reused verbatim: the level-(n-1)
+    partial composites before and after the splice are equal.
     """
-    yf = y.factors
-    yi = y.indices
-    raw_factors = list(x.factors[:i - 1])
-    raw_indices = list(x.indices[:max(i - 2, 0)])
-
-    if i >= 2:
+    if i == 1:
+        y_indices = y.indices
+    elif x.level == 2 or y.m == 1:
+        # at level 2 the partials are corollas and y's prongs fill
+        # consecutive slots from x's index on (the psi of a level-1
+        # composition); a single-factor y has no later index to translate
+        s0 = x.indices[i - 2]
+        y_indices = [s0] + [s0 + q - 1 for q in y.indices]
+    else:
         prefix = x.factors[0]
         for f, idx in zip(x.factors[1:i - 1], x.indices[:i - 2]):
             prefix = _execute(prefix, idx, f)
-        s0 = x.indices[i - 2]
-        _, sh = compose(prefix, s0, yf[0])
-        ambient = _execute(prefix, s0, yf[0])
-        rho = dict(sh.psi)
-        raw_factors.append(yf[0])
-        raw_indices.append(s0)
-    else:
-        ambient = yf[0]
-        rho = {s: s for s in range(1, yf[0].m + 1)}
-        raw_factors.append(yf[0])
-
-    local = yf[0]
-    for t in range(1, y.m):
-        iota = yi[t - 1]
-        sigma = rho[iota]
-        _, sh_amb = compose(ambient, sigma, yf[t])
-        _, sh_loc = compose(local, iota, yf[t])
-        new_rho = {}
-        for q, cur in rho.items():
-            if q == iota:
-                continue
-            new_rho[sh_loc.phi[q]] = sh_amb.phi[cur]
-        for r in range(1, yf[t].m + 1):
-            new_rho[sh_loc.psi[r]] = sh_amb.psi[r]
-        rho = new_rho
-        ambient = _execute(ambient, sigma, yf[t])
-        local = _execute(local, iota, yf[t])
-        raw_factors.append(yf[t])
-        raw_indices.append(sigma)
-
-    raw_factors.extend(x.factors[i:])
-    raw_indices.extend(x.indices[i - 1:])
+        y_indices, _ = _graft_factors(prefix, x.indices[i - 2], y)
+    raw_factors = x.factors[:i - 1] + y.factors + x.factors[i:]
+    raw_indices = (x.indices[:max(i - 2, 0)] + tuple(y_indices)
+                   + x.indices[i - 1:])
     return raw_factors, raw_indices
+
+
+class _Trace:
+    """Slot provenance through a graft sequence.
+
+    Holds a partial composite and ``labels``, where ``labels[s - 1]`` says
+    where slot s of the partial came from: ``(tag, r)`` is slot r of the
+    factor that the trace started from or grafted with that tag.  The slots
+    one factor brings in, and more generally those of any sub-sequence
+    grafted into them, keep their relative order in every later partial,
+    because the position maps of a composition are strictly increasing.
+    A level-1 partial is a corolla, known by its slot count, so it is not
+    built: the step is a list splice.
+    """
+
+    __slots__ = ("partial", "labels")
+
+    def __init__(self, head, tag):
+        self.partial = head if head.level >= 2 else None
+        self.labels = [(tag, r) for r in range(1, head.m + 1)]
+
+    def graft(self, idx, f, tag):
+        """Graft f into slot idx; returns the label of the consumed slot."""
+        labels = self.labels
+        consumed = labels[idx - 1]
+        if self.partial is None:
+            labels[idx - 1:idx] = [(tag, r) for r in range(1, f.arity + 1)]
+            return consumed
+        self.partial, sh = compose(self.partial, idx, f)
+        moved = [None] * (len(labels) + f.m - 1)
+        for s, p in sh.phi.items():
+            moved[p - 1] = labels[s - 1]
+        for r, p in sh.psi.items():
+            moved[p - 1] = (tag, r)
+        self.labels = moved
+        return consumed
+
+
+def _graft_factors(W, slot, v):
+    """Graft v's factors into slot ``slot`` of W, in v's order.
+
+    Returns the ambient graft index of each factor and the slot labels of
+    the composite: ``(0, s)`` for slot s of W, ``(t, r)`` for slot r of v's
+    factor t.  v's local slot q is the q-th slot not labelled from W.
+    """
+    trace = _Trace(W, 0)
+    trace.graft(slot, v.factors[0], 1)
+    indices = [slot]
+    for t, (f, q) in enumerate(zip(v.factors[1:], v.indices), start=2):
+        sigma = [p for p, lab in enumerate(trace.labels, 1) if lab[0]][q - 1]
+        trace.graft(sigma, f, t)
+        indices.append(sigma)
+    return indices, trace.labels
+
+
+def provenance(x):
+    """Where each graft of x went and where each slot of its total came from.
+
+    Returns ``(parents, labels)``: ``parents[t - 2]`` is the label of the
+    slot factor t was grafted into and ``labels[p - 1]`` that of slot p of
+    ``total_G(x)``, where label ``(s, r)`` names slot r of factor s.  At
+    level 2 these are the parent node and prong of each node of the tree.
+    """
+    trace = _Trace(x.factors[0], 1)
+    graft = trace.graft
+    parents = [graft(idx, f, t) for t, (f, idx)
+               in enumerate(zip(x.factors[1:], x.indices), start=2)]
+    return parents, trace.labels
 
 
 # -- normalization -------------------------------------------------------
@@ -387,7 +430,7 @@ def normalize(g, strategy="left"):
     gamma at b and then at a < b equals applying gamma at a first and then at
     phi^(w,a,u)(b), where w is the partial composite before the pair and u
     the factor moved in at a.  Returns the canonical element and the map
-    original factor position -> canonical position (1-based tuple).
+    input factor position -> canonical position (1-based tuple).
 
     strategy picks which inversion to rewrite first ("left", "right", or
     "random:<seed>"); the outcome is strategy-independent.
@@ -401,7 +444,7 @@ def normalize(g, strategy="left"):
 def _sort_sequence(level, factors, indices, strategy="left"):
     """Bubble the sequence canonical, tracking factor positions."""
     k = len(factors)
-    pos = list(range(k))  # pos[p] = original index of factor currently at p
+    pos = list(range(k))  # pos[p] = input index of the factor now at p
     rng = None
     if strategy.startswith("random"):
         import random as _random
@@ -544,46 +587,22 @@ def graft_at_slot(u, slot, v):
         raise NotComposable(
             "total of the graft does not match slot %d of the base" % slot)
 
-    raw_factors = list(u.factors)
-    raw_indices = list(u.indices)
-    yf, yi = v.factors, v.indices
-
-    _, sh0 = compose(W, slot, yf[0])
-    slot_map = {s: sh0.phi[s] for s in range(1, W.m + 1) if s != slot}
-    rho = dict(sh0.psi)
-    ambient = _execute(W, slot, yf[0])
-    local = yf[0]
-    raw_factors.append(yf[0])
-    raw_indices.append(slot)
-    for t in range(1, v.m):
-        iota = yi[t - 1]
-        sigma = rho[iota]
-        _, sh_amb = compose(ambient, sigma, yf[t])
-        _, sh_loc = compose(local, iota, yf[t])
-        slot_map = {o: sh_amb.phi[c] for o, c in slot_map.items()}
-        new_rho = {}
-        for q, cur in rho.items():
-            if q != iota:
-                new_rho[sh_loc.phi[q]] = sh_amb.phi[cur]
-        for r in range(1, yf[t].m + 1):
-            new_rho[sh_loc.psi[r]] = sh_amb.psi[r]
-        rho = new_rho
-        ambient = _execute(ambient, sigma, yf[t])
-        local = _execute(local, iota, yf[t])
-        raw_factors.append(yf[t])
-        raw_indices.append(sigma)
-
-    elem, perm = _sort_sequence(n, raw_factors, raw_indices)
+    indices, labels = _graft_factors(W, slot, v)
+    elem, perm = _sort_sequence(n, list(u.factors + v.factors),
+                                list(u.indices) + indices)
     factor_phi = {j: perm[j - 1] for j in range(1, u.m + 1)}
     factor_psi = {t: perm[u.m + t - 1] for t in range(1, v.m + 1)}
-    return GraftResult(elem, factor_phi, factor_psi, slot_map, rho)
+    slot_phi = {s: p for p, (t, s) in enumerate(labels, 1) if not t}
+    slot_psi = dict(enumerate((p for p, (t, _) in enumerate(labels, 1) if t),
+                              start=1))
+    return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
 
 
 @dataclass(frozen=True)
 class Attachment:
     slot: int              # slot of the head that the subtree subdivides
     element: "PlainElement"
-    positions: tuple       # original factor positions in z, in local order
+    positions: tuple       # factor positions in z, in local order
 
 
 @dataclass(frozen=True)
@@ -603,58 +622,32 @@ def decompose_head(z):
     """Split z into its first factor and the subtrees grafted into its slots.
 
     Each remaining factor is assigned to the attachment owning the slot it
-    grafts into, tracked through the accumulated position maps; slots come
-    out strictly increasing and recomposition reproduces z.
+    grafts into, read off a slot-provenance trace over z; slots come out
+    strictly increasing and recomposition reproduces z.
     """
     if z.level < 2:
         raise LevelMismatch("head decomposition needs level >= 2")
     head = z.factors[0]
-    # origin[s] for each slot s of the current partial composite:
-    # ("head", slot-of-head) or (attachment id, local slot)
-    origin = {s: ("head", s) for s in range(1, head.m + 1)}
-    atts = {}      # id -> dict(slot, factors, indices, local, positions)
-    order = []
-    partial = head
+    trace = _Trace(head, 1)
+    owner = {1: None}   # factor position -> attachment number, None: head
+    atts = []           # [slot, factors, indices, positions] per attachment
     for t, (f, idx) in enumerate(zip(z.factors[1:], z.indices), start=2):
-        owner, where = origin[idx]
-        _, sh_amb = compose(partial, idx, f)
-        if owner == "head":
-            aid = len(order)
-            order.append(aid)
-            atts[aid] = {"slot": where, "factors": [f], "indices": [],
-                         "local": f, "positions": [t]}
-            new_origin = {}
-            for s, o in origin.items():
-                if s != idx:
-                    new_origin[sh_amb.phi[s]] = o
-            for r in range(1, f.m + 1):
-                new_origin[sh_amb.psi[r]] = (aid, r)
-            origin = new_origin
+        before = trace.labels[:idx - 1]
+        src, r = trace.graft(idx, f, t)
+        a = owner[src]
+        if a is None:
+            owner[t] = len(atts)
+            atts.append([r, [f], [], [t]])
         else:
-            a = atts[owner]
-            _, sh_loc = compose(a["local"], where, f)
-            a["factors"].append(f)
-            a["indices"].append(where)
-            a["positions"].append(t)
-            a["local"] = _execute(a["local"], where, f)
-            new_origin = {}
-            for s, o in origin.items():
-                if s == idx:
-                    continue
-                if o[0] == owner:
-                    new_origin[sh_amb.phi[s]] = (owner, sh_loc.phi[o[1]])
-                else:
-                    new_origin[sh_amb.phi[s]] = o
-            for r in range(1, f.m + 1):
-                new_origin[sh_amb.psi[r]] = (owner, sh_loc.psi[r])
-            origin = new_origin
-        partial = _execute(partial, idx, f)
+            # the local slot is the rank among the attachment's own slots,
+            # which keep their order in the partial
+            owner[t] = a
+            atts[a][2].append(1 + sum(owner[s] == a for s, _ in before))
+            atts[a][1].append(f)
+            atts[a][3].append(t)
 
-    result = []
-    for aid in order:
-        a = atts[aid]
-        elem = PlainElement(z.level, factors=a["factors"], indices=a["indices"])
-        result.append(Attachment(a["slot"], elem, tuple(a["positions"])))
-    result.sort(key=lambda att: att.slot)
+    result = sorted((Attachment(slot, PlainElement(z.level, factors=fs,
+                                                   indices=ix), tuple(ps))
+                     for slot, fs, ix, ps in atts), key=lambda att: att.slot)
     return HeadForm(head, tuple(result))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .elements import POINT, PlainElement, corolla, slots_F, total_G
+from .elements import POINT, PlainElement, _execute, corolla, slots_F, total_G
 from .errors import RangeViolation
 from .grammar import format_element
 
@@ -22,12 +22,14 @@ def enumerate_elements(level, max_factors, max_arity):
 
 
 @lru_cache(maxsize=None)
-def _enumerate(level, max_factors, max_arity):
+def _enumerate(level, max_factors, max_arity, min_arity=1):
+    """Elements in generation order; min_arity 0 admits the arity-0 corolla."""
     if level == 0:
         return (POINT,)
     if level == 1:
-        return tuple(corolla(a) for a in range(1, max_arity + 1))
-    pool = _enumerate(level - 1, max_factors, max_arity)
+        return tuple(corolla(a, allow_zero=True)
+                     for a in range(min_arity, max_arity + 1))
+    pool = _enumerate(level - 1, max_factors, max_arity, min_arity)
     out = []
 
     def extend(factors, indices, partial, last):
@@ -39,16 +41,11 @@ def _enumerate(level, max_factors, max_arity):
             for g in pool:
                 if total_G(g) == content:
                     extend(factors + [g], indices + [idx],
-                           _step(partial, idx, g), idx)
+                           _execute(partial, idx, g), idx)
 
     for head in pool:
         extend([head], [], head, 1)
     return tuple(out)
-
-
-def _step(partial, idx, g):
-    from .elements import _execute
-    return _execute(partial, idx, g)
 
 
 def count_binary(k):
@@ -105,7 +102,7 @@ def free_plain_algebra_count(level, sizes, y, bound):
             content = slots_F(partial)[idx - 1]
             for g in support:
                 if total_G(g) == content:
-                    extend(factors + [g], _step(partial, idx, g), idx)
+                    extend(factors + [g], _execute(partial, idx, g), idx)
 
     for head in support:
         extend([head], head, 1)

@@ -66,10 +66,6 @@ def to_int(x):
     return len(x.terms)
 
 
-def is_finite(x):
-    return all(t is None for t in x.terms)
-
-
 def _term_ord(t):
     return ONE if t is None else Ordinal((t,))
 

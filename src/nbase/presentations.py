@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
+from .elements import provenance
 from .errors import NotBinary, Overflow, RangeViolation
-from .units import _owner_of_prong
 
 
 def free_reduce(word):
@@ -252,13 +252,8 @@ def edge_structure(x):
         raise NotBinary("binary elements live at level 2")
     if any(f.arity != 2 for f in x.factors):
         raise NotBinary("all entries must have arity 2")
-    edges = []
-    for t in range(2, x.m + 1):
-        prong = x.indices[t - 2]
-        parent, _q = _owner_of_prong(list(x.factors[:t - 1]),
-                                     list(x.indices[:t - 2]), prong)
-        edges.append(tuple(sorted((parent, t))))
-    edges.sort()
+    parents, _ = provenance(x)
+    edges = sorted((parent, t) for t, (parent, _) in enumerate(parents, 2))
     incidence = {}
     for num, (u, v) in enumerate(edges, start=1):
         incidence.setdefault(u, []).append(num)

@@ -88,14 +88,6 @@ def random_element(level, rng, grafts=2, max_arity=4, depth=2):
     return e
 
 
-def random_composable_pair(level, rng, **kw):
-    """(x, i, y) with compose(x, i, y) defined."""
-    x = random_element(level, rng, **kw)
-    i = rng.randint(1, x.m)
-    y = random_with_total(level, slots_F(x)[i - 1], rng)
-    return x, i, y
-
-
 def random_composable_triple(level, rng, **kw):
     """(x, i, y, j, z) with i < j, both arguments composable into x."""
     while True:

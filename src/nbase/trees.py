@@ -9,7 +9,7 @@ the morphism calculus and the renderers.
 
 from __future__ import annotations
 
-from .elements import PlainElement, corolla
+from .elements import PlainElement, corolla, provenance
 from .errors import LevelMismatch
 
 
@@ -48,14 +48,10 @@ def to_tree(x):
     """Planar tree of a level-2 element; nodes tagged with factor positions."""
     if x.level != 2:
         raise LevelMismatch("tree view needs a level-2 element")
-    root = TreeNode(x.factors[0].arity, tag=1)
-    slots = [(root, p) for p in range(1, root.arity + 1)]
-    for t, (f, idx) in enumerate(zip(x.factors[1:], x.indices), start=2):
-        node, prong = slots[idx - 1]
-        new = TreeNode(f.arity, tag=t)
-        node.children[prong - 1] = new
-        slots[idx - 1:idx] = [(new, p) for p in range(1, new.arity + 1)]
-    return root
+    nodes = [TreeNode(f.arity, t) for t, f in enumerate(x.factors, 1)]
+    for node, (parent, prong) in zip(nodes[1:], provenance(x)[0]):
+        nodes[parent - 1].children[prong - 1] = node
+    return nodes[0]
 
 
 def from_tree(root):

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import PlainElement, compose, corolla, embed, total_G
-from .enumeration import enumerate_elements
+from .elements import PlainElement, compose, corolla, embed, provenance, total_G
+from .enumeration import _enumerate, enumerate_elements
 from .errors import NotComposable, NotImplementedLevel, RangeViolation
 from .grammar import format_element
 
@@ -123,22 +123,6 @@ def r_compose(x, i, u):
     return RElement(plain=_delete_lozenge(xp, i))
 
 
-def _owner_of_prong(factors, indices, prong):
-    """Which factor's corolla carries the given prong of the composite."""
-    origin = {p: (1, p) for p in range(1, factors[0].arity + 1)}
-    for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2):
-        new = {}
-        for p, o in origin.items():
-            if p < idx:
-                new[p] = o
-            elif p > idx:
-                new[p + f.arity - 1] = o
-        for q in range(1, f.arity + 1):
-            new[idx + q - 1] = (t, q)
-        origin = new
-    return origin[prong]
-
-
 def _cap_prong(x, prong):
     """Execute a zero-plug at a free prong of the total.
 
@@ -146,7 +130,7 @@ def _cap_prong(x, prong):
     capped prong to their left at graft time shift down by one.  The capped
     prong's position is tracked forward from the owner's entry.
     """
-    t, q = _owner_of_prong(list(x.factors), list(x.indices), prong)
+    t, q = provenance(x)[1][prong - 1]
     factors = list(x.factors)
     factors[t - 1] = corolla(factors[t - 1].arity - 1, allow_zero=True)
     indices = list(x.indices)
@@ -201,8 +185,7 @@ def r_normalize(x):
             raise NotComposable("zero head with attachments is invalid")
         factors = list(e.factors)
         indices = list(e.indices)
-        prong = indices[pos - 2]
-        t, _q = _owner_of_prong(factors[:pos - 1], indices[:pos - 2], prong)
+        t, _q = provenance(e)[0][pos - 2]
         del factors[pos - 1]
         del indices[pos - 2]
         factors[t - 1] = corolla(factors[t - 1].arity - 1, allow_zero=True)
@@ -244,7 +227,7 @@ def check_runital_bijection(level, max_factors=3, max_arity=3):
 
     plain = set(enumerate_elements(2, max_factors, max_arity))
     extended = set()
-    for e in _enumerate_extended(max_factors, max_arity):
+    for e in _enumerate(2, max_factors, max_arity, 0):
         r = r_normalize(RElement(plain=e))
         if r.tag:
             continue
@@ -255,22 +238,3 @@ def check_runital_bijection(level, max_factors=3, max_arity=3):
     extra = tuple(sorted(map(format_element, extended - plain)))
     return BijectionReport(2, len(plain), len(extended),
                            plain == extended, missing, extra)
-
-
-def _enumerate_extended(max_factors, max_arity):
-    """Level-2 elements over arities 0..max_arity within the bounds."""
-    pool = [corolla(a, allow_zero=True) for a in range(0, max_arity + 1)]
-    out = []
-
-    def extend(factors, indices, prongs, last):
-        out.append(PlainElement(2, factors=list(factors), indices=list(indices)))
-        if len(factors) >= max_factors:
-            return
-        for idx in range(last, prongs + 1):
-            for g in pool:
-                extend(factors + [g], indices + [idx],
-                       prongs + g.arity - 1, idx)
-
-    for head in pool:
-        extend([head], [], head.arity, 1)
-    return out

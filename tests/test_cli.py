@@ -154,6 +154,9 @@ def test_roundtrip_parse_print(capsys):
     ["group", "order", "--sym", "4", "--max-cosets", "0"],
     ["group", "order", "--sym", "4", "--max-cosets", "-5"],
     ["group", "verify", "--tree", "[2,2|1]", "--max-cosets", "0"],
+    ["group", "order", "--sym", "3", "--gap"],
+    ["group", "verify", "--tree", "[2,2|1]", "--gap"],
+    ["group", "present", "--sym", "3", "--max-cosets", "5"],
 ])
 def test_group_usage_errors_print_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -345,6 +345,43 @@ class TestGraft:
         with pytest.raises(NotComposable):
             graft_at_slot(embed(pe("[2,2|1]")), 1, embed(pe("[3|]")))
 
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_graft_and_head_contents_on_random_elements(self, level):
+        from nbase.randgen import random_element, random_with_total
+        rng = random.Random(level)
+        for _ in range(25):
+            u = random_element(level, rng, grafts=rng.randint(1, 3), max_arity=3)
+            W = total_G(u)
+            slot = rng.randint(1, W.m)
+            v = random_with_total(
+                level, random_with_total(level - 1, slots_F(W)[slot - 1], rng), rng)
+            g = graft_at_slot(u, slot, v)
+            z = g.element
+            for src, fmap in ((u, g.factor_phi), (v, g.factor_psi)):
+                for j, p in fmap.items():
+                    assert z.factors[p - 1] is src.factors[j - 1]
+            assert sorted(list(g.factor_phi.values()) + list(g.factor_psi.values())) \
+                == list(range(1, z.m + 1))
+            got = slots_F(total_G(z))
+            for src, smap in ((W, g.slot_phi), (total_G(v), g.slot_psi)):
+                for s, p in smap.items():
+                    assert got[p - 1] == slots_F(src)[s - 1]
+            assert sorted(g.slot_phi) == [s for s in range(1, W.m + 1) if s != slot]
+            assert sorted(g.slot_psi) == list(range(1, total_G(v).m + 1))
+            assert sorted(list(g.slot_phi.values()) + list(g.slot_psi.values())) \
+                == list(range(1, len(got) + 1))
+
+            hf = decompose_head(z)
+            assert hf.recompose() is z
+            assert [a.slot for a in hf.attachments] \
+                == sorted({a.slot for a in hf.attachments})
+            positions = [1]
+            for att in hf.attachments:
+                for local, orig in enumerate(att.positions, start=1):
+                    assert att.element.factors[local - 1] is z.factors[orig - 1]
+                positions.extend(att.positions)
+            assert sorted(positions) == list(range(1, z.m + 1))
+
 
 class TestInterning:
     def test_every_construction_path_returns_one_object(self):

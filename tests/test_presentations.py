@@ -85,6 +85,16 @@ class TestEdgeStructure:
         with pytest.raises(NotBinary):
             edge_structure(pe("[3,2|1]"))
 
+    def test_edges_match_the_tree_oracle(self):
+        from oracle_trees import build_tree, preorder
+        for k in range(2, 8):
+            for x in binary_shapes(k):
+                root = build_tree([2] * k, list(x.indices), "x")
+                expected = sorted((node["tag"][1], child["tag"][1])
+                                  for node in preorder(root)
+                                  for child in node["children"] if child)
+                assert edge_structure(x).edges == tuple(expected)
+
 
 class TestTreePresentation:
     def test_single_edge(self):
