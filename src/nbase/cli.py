@@ -50,6 +50,32 @@ def _positive_int(text):
     return value
 
 
+def _int_list(value):
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _json_arg(key):
+    """An argparse type: a JSON object whose `key` holds a list of ints, or
+    a list of int lists for node_perms; the type returns that list."""
+    nested = key == "node_perms"
+
+    def parse(text):
+        try:
+            value = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise argparse.ArgumentTypeError("invalid JSON: %s" % exc)
+        if not isinstance(value, dict) or key not in value:
+            raise argparse.ArgumentTypeError(
+                "expected a JSON object with key %r" % key)
+        items = value[key]
+        if not (isinstance(items, list) and all(map(_int_list, items))
+                if nested else _int_list(items)):
+            raise argparse.ArgumentTypeError(
+                "%r must hold a list of %s" % (key, "int lists" if nested else "ints"))
+        return items
+    return parse
+
+
 class _LeafParser(argparse.ArgumentParser):
     """A subcommand parser that reports unrecognized arguments with its own
     usage line, instead of leaving them to the top-level parser."""
@@ -152,20 +178,23 @@ def _parser():
     msub = sp.add_subparsers(dest="mor_command", required=True)
     m1 = msub.add_parser("apply1")
     m1.add_argument("literal")
-    m1.add_argument("perms", help='JSON like {"node_perms": [[2,1],[1,2]]}')
+    perms = _json_arg("node_perms")
+    sigma = _json_arg("sigma")
+    m1.add_argument("perms", type=perms,
+                    help='JSON like {"node_perms": [[2,1],[1,2]]}')
     m2 = msub.add_parser("apply2")
     m2.add_argument("literal")
-    m2.add_argument("sigma", help='JSON like {"sigma": [2,1]}')
+    m2.add_argument("sigma", type=sigma, help='JSON like {"sigma": [2,1]}')
     mq = msub.add_parser("square")
     mq.add_argument("literal")
-    mq.add_argument("perms")
-    mq.add_argument("sigma")
+    mq.add_argument("perms", type=perms)
+    mq.add_argument("sigma", type=sigma)
     mi = msub.add_parser("induce")
     mi.add_argument("x")
     mi.add_argument("i", type=int)
     mi.add_argument("y")
-    mi.add_argument("--sigma-f", default=None)
-    mi.add_argument("--sigma-g", default=None)
+    mi.add_argument("--sigma-f", type=sigma, default=None)
+    mi.add_argument("--sigma-g", type=sigma, default=None)
 
     sp = sub.add_parser("render", help="draw an element")
     with_level(sp)
@@ -379,16 +408,14 @@ def _dispatch_group(args):
 def _dispatch_mor(args):
     if args.mor_command == "apply1":
         x = parse_element(args.literal, level=2)
-        perms = json.loads(args.perms)["node_perms"]
-        f = apply_one(x, perms)
+        f = apply_one(x, args.perms)
         print(json.dumps({"target": format_element(f.target),
                           "leaf_perm": list(f.leaf_perm),
                           "node_relabel": list(f.node_relabel)}))
         return 0
     if args.mor_command == "apply2":
         x = parse_element(args.literal, level=2)
-        sigma = json.loads(args.sigma)["sigma"]
-        mor = apply_two(x, sigma)
+        mor = apply_two(x, args.sigma)
         if mor is None:
             print(json.dumps({"morphism": None}))
         else:
@@ -397,10 +424,8 @@ def _dispatch_mor(args):
         return 0
     if args.mor_command == "square":
         x = parse_element(args.literal, level=2)
-        perms = json.loads(args.perms)["node_perms"]
-        sigma = json.loads(args.sigma)["sigma"]
-        f = apply_one(x, perms)
-        g = apply_two(x, sigma)
+        f = apply_one(x, args.perms)
+        g = apply_two(x, args.sigma)
         if g is None:
             print(json.dumps({"square": None}))
             return 1
@@ -411,9 +436,9 @@ def _dispatch_mor(args):
     if args.mor_command == "induce":
         x = parse_element(args.x, level=2)
         y = parse_element(args.y, level=2)
-        f = apply_two(x, json.loads(args.sigma_f)["sigma"]) if args.sigma_f \
+        f = apply_two(x, args.sigma_f) if args.sigma_f is not None \
             else identity_two(x)
-        g = apply_two(y, json.loads(args.sigma_g)["sigma"]) if args.sigma_g \
+        g = apply_two(y, args.sigma_g) if args.sigma_g is not None \
             else identity_two(y)
         h = induced_two_on_composition(x, args.i, y, f, g)
         print(json.dumps({"source": format_element(h.source),

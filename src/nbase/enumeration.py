@@ -8,10 +8,11 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 
 from .elements import POINT, PlainElement, _execute, corolla, slots_F, total_G
-from .errors import RangeViolation
+from .errors import LevelMismatch, RangeViolation, SizeBound
 from .grammar import format_element
 
 
@@ -19,6 +20,25 @@ def enumerate_elements(level, max_factors, max_arity):
     """All elements of the level within the bounds, sorted by literal."""
     return sorted(_enumerate(level, max_factors, max_arity),
                   key=format_element)
+
+
+def _graft_sequences(pool, max_factors):
+    """Every canonical graft sequence over pool with at most max_factors
+    factors, depth first: yields (factors, indices, partial composite)."""
+    stack = [([head], [], head) for head in reversed(pool)]
+    while stack:
+        factors, indices, partial = stack.pop()
+        yield factors, indices, partial
+        if len(factors) >= max_factors:
+            continue
+        children = []
+        for idx in range(indices[-1] if indices else 1, partial.m + 1):
+            content = slots_F(partial)[idx - 1]
+            for g in pool:
+                if total_G(g) == content:
+                    children.append((factors + [g], indices + [idx],
+                                     _execute(partial, idx, g)))
+        stack.extend(reversed(children))
 
 
 @lru_cache(maxsize=None)
@@ -30,41 +50,29 @@ def _enumerate(level, max_factors, max_arity, min_arity=1):
         return tuple(corolla(a, allow_zero=True)
                      for a in range(min_arity, max_arity + 1))
     pool = _enumerate(level - 1, max_factors, max_arity, min_arity)
-    out = []
+    return tuple(PlainElement(level, factors=factors, indices=indices)
+                 for factors, indices, _ in _graft_sequences(pool, max_factors))
 
-    def extend(factors, indices, partial, last):
-        out.append(PlainElement(level, factors=list(factors), indices=list(indices)))
-        if len(factors) >= max_factors:
-            return
-        for idx in range(last, partial.m + 1):
-            content = slots_F(partial)[idx - 1]
-            for g in pool:
-                if total_G(g) == content:
-                    extend(factors + [g], indices + [idx],
-                           _execute(partial, idx, g), idx)
 
-    for head in pool:
-        extend([head], [], head, 1)
-    return tuple(out)
+# count_binary sums a k x k table; above this k it raises SizeBound
+MAX_BINARY_FACTORS = 2000
 
 
 def count_binary(k):
     """Number of level-2 elements with k factors, all of arity 2."""
     if k < 1:
         raise RangeViolation("binary count needs k >= 1, got %d" % k)
-    total = 0
-
-    def extend(j, prongs, last):
-        # j factors placed; partial composite has `prongs` prongs
-        nonlocal total
-        if j == k:
-            total += 1
-            return
-        for idx in range(last, prongs + 1):
-            extend(j + 1, prongs + 1, idx)
-
-    extend(1, 2, 1)
-    return total
+    if k > MAX_BINARY_FACTORS:
+        raise SizeBound("binary count is bounded by k <= %d, got %d"
+                        % (MAX_BINARY_FACTORS, k))
+    # ways[l - 1]: sequences of j factors whose last graft index is l (the
+    # head counts as 1); the partial has j + 1 prongs, so the next index
+    # runs from l to j + 1
+    ways = [1]
+    for _j in range(1, k):
+        ways = list(accumulate(ways))
+        ways.append(ways[-1])
+    return sum(ways)
 
 
 def catalan(k):
@@ -80,33 +88,13 @@ def free_plain_algebra_count(level, sizes, y, bound):
     """
     if level == 1:
         if y != POINT:
-            raise ValueError("level-1 totals are the point")
+            raise LevelMismatch("level-1 totals are the point")
         c = sizes.get(POINT, 0)
         return sum(c ** m for m in range(1, bound + 1))
     support = [f for f, s in sizes.items() if s > 0]
-    total = 0
-
-    def product(factors):
-        p = 1
-        for f in factors:
-            p *= sizes[f]
-        return p
-
-    def extend(factors, partial, last):
-        nonlocal total
-        if partial == y:
-            total += product(factors)
-        if len(factors) >= bound:
-            return
-        for idx in range(last, partial.m + 1):
-            content = slots_F(partial)[idx - 1]
-            for g in support:
-                if total_G(g) == content:
-                    extend(factors + [g], _execute(partial, idx, g), idx)
-
-    for head in support:
-        extend([head], head, 1)
-    return total
+    return sum(prod(sizes[f] for f in factors)
+               for factors, _, partial in _graft_sequences(support, bound)
+               if partial == y)
 
 
 def free_ea2_component_count(s_size, n):
@@ -117,7 +105,7 @@ def free_ea2_component_count(s_size, n):
     multiset factor counts orbits of n-1 labels from s_size symbols.
     """
     if n < 2:
-        raise ValueError("n >= 2")
+        raise RangeViolation("component count needs n >= 2, got %d" % n)
     shapes = catalan(n - 1)
     perms = factorial(n)
     multisets = comb(s_size + n - 2, n - 1)

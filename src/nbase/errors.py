@@ -53,10 +53,6 @@ class Overflow(NBaseError):
     """Coset enumeration exceeded its coset cap; the result is inconclusive."""
 
 
-class Gamma0Overflow(NBaseError):
-    """A notation would need the fixed point of the subscript hierarchy."""
-
-
 class OutOfRange(NBaseError):
     """Ordinal argument lies outside the encodable range."""
 

@@ -15,15 +15,19 @@ that factor heads its local decomposition, replacing the 1s of its free
 slots; encode never builds anything but single-use carriers, so the value
 appears exactly once.
 
-encode inverts the default evaluation constructively: each normal-form
-term becomes a column (prong, optional carrier chain, attachment) whose
-contribution is exactly that term; it is implemented for levels 1..4,
-which covers every notation below the level-4 image bound.
+encode inverts the default evaluation constructively, one level at a
+time: each normal-form term becomes a column, a prong of the level-1
+corolla that receives, at the level one above the term's subscript, the
+attachment encoding the term's argument, with single-factor carriers
+holding its slot at the levels in between.  A column contributes exactly
+its term.  encode is implemented for levels 1..4, which covers every
+notation below the level-4 image bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .elements import (
     corolla,
@@ -115,9 +119,7 @@ def add(x, y):
 def phi(a, b):
     """The normal term phi_a(b); absorbs when b already dominates.
 
-    phi_1 is the shifted omega power; a must be at least 1.  Finite
-    notations never reach the subscript-hierarchy fixed point, so the
-    overflow guard cannot fire on well-formed input.
+    phi_1 is the shifted omega power; a must be at least 1.
     """
     if cmp(a, ONE) < 0:
         raise OutOfRange("phi subscript must be >= 1")
@@ -329,7 +331,10 @@ def encode(beta, n):
         raise OutOfRange("0 is not a value of the evaluation (sums are nonempty)")
     if cmp(beta, _phi_bound(n)) >= 0:
         raise OutOfRange("%s is not below phi_%d(0)" % (format_ordinal(beta), n))
-    return _encode(beta, n)
+    z, left = _assemble(beta, n, n)
+    if left:
+        raise LevelMismatch("%d requests left above level %d" % (len(left), n))
+    return z
 
 
 def _term_split(t, n):
@@ -341,123 +346,55 @@ def _term_split(t, n):
     return a_int, add(ONE, b)
 
 
-def _encode(beta, n):
-    if n == 1:
-        return corolla(to_int(beta))
-    if n == 2:
-        z = embed(corolla(len(beta.terms)))
-        # graft right-to-left so earlier prong numbers stay put
-        for p in range(len(beta.terms), 0, -1):
-            t = beta.terms[p - 1]
-            if t is None:
-                continue
-            _a, delta = _term_split(t, 2)
-            z = graft_at_slot(z, p, _encode(delta, 2)).element
-        return z
-    head, reqs = _assemble(beta, n - 1, n)
-    z = embed(head)
-    # anchors are slots of the head; graft largest-anchor first
-    for anchor, chain in sorted(reqs, key=lambda r: -r[0]):
-        if chain["level"] != n:
-            raise LevelMismatch("request chain at level %d, expected %d"
-                                % (chain["level"], n))
-        z = graft_at_slot(z, anchor, chain["att"]).element
-    return z
-
-
 def _assemble(gamma, j, n):
-    """Level-j element whose walk is gamma, plus level-(j+1) requests.
+    """Level-j element whose walk is gamma, plus its requests one level up.
 
-    Requests are (anchor, payload) pairs: the anchor is a slot of the
-    returned element (a factor position one level down from the enclosing
-    structure) and the payload is either the ready attachment (for the top
-    level) or a (element, sub-requests) pair to graft next level up.
+    A request (anchor, column) names a factor of the element, which is a
+    slot of the next level's total.  A column (level, attachment, the
+    attachment's own requests) stands for one term with subscript
+    level - 1.  Level 1 is a corolla with one prong per term; each level
+    above embeds the one below and grafts, at every anchor, the column's
+    attachment if the column belongs there, else a single-factor carrier
+    that keeps the slot open and passes the request up.
     """
-    if j == 2:
-        return _assemble_tree(gamma, n)
-    elem, reqs = _assemble_level(j, gamma, n)
-    return elem, reqs
-
-
-def _assemble_tree(gamma, n):
-    """The level-2 layer: one prong per term; subtrees realize omega powers,
-    carrier nodes anchor the higher-level attachments."""
     terms = gamma.terms
-    tree = embed(corolla(len(terms)))
-    reqs = []   # (node-position-in-tree, chain)
+    reqs = []
     for p in range(len(terms), 0, -1):
-        t = terms[p - 1]
-        if t is None:
-            continue
-        a_int, delta = _term_split(t, n)
-        if a_int == 1:
-            sub, sub_reqs = _assemble_tree(delta, n)
-            g = graft_at_slot(tree, p, sub)
-            tree = g.element
-            reqs = [(g.factor_phi[pos], chain) for pos, chain in reqs]
-            reqs.extend((g.factor_psi[pos], chain) for pos, chain in sub_reqs)
-        else:
-            chain = _build_chain(t, n)
-            carrier = embed(chain["contents"][1])
-            g = graft_at_slot(tree, p, carrier)
-            tree = g.element
-            reqs = [(g.factor_phi[pos], c) for pos, c in reqs]
-            reqs.append((g.factor_psi[1], chain))
-    return tree, reqs
-
-
-def _build_chain(t, n):
-    """Column data for a term with subscript >= 2: the attachment, the
-    carrier contents at every level, and the attachment's own requests."""
-    a_int, delta = _term_split(t, n)
-    level = a_int + 1
-    if level == n:
-        att, att_reqs = _encode(delta, n), []
-    else:
-        att, att_reqs = _assemble(delta, level, n)
-    contents = {}
-    cur = total_G(att)              # one level below the attachment
-    for lvl in range(level - 1, 0, -1):
-        contents[lvl] = cur
-        if lvl > 1:
-            cur = total_G(cur)
-    return {"level": level, "att": att, "att_reqs": att_reqs,
-            "contents": contents}
-
-
-def _assemble_level(j, gamma, n):
-    """Levels 3 and above: embed the layer below, then materialize every
-    level-j request (attachments or single-factor carriers)."""
-    below, reqs = _assemble(gamma, j - 1, n)
-    elem = embed(below)
-    out = []    # requests for level j+1: (factor-position of elem, chain)
-    pending = sorted(reqs, key=lambda r: -r[0])
-    while pending:
-        anchor, chain = pending.pop(0)
-        if chain["level"] == j:
-            g = graft_at_slot(elem, anchor, chain["att"])
+        if terms[p - 1] is not None:
+            a_int, delta = _term_split(terms[p - 1], n)
+            reqs.append((p, (a_int + 1, *_assemble(delta, a_int + 1, n))))
+    elem = corolla(len(terms))
+    for i in range(2, j + 1):
+        elem = embed(elem)
+        # a graft at slot s fixes every slot below s, so anchors taken
+        # largest first need no re-mapping
+        reqs.sort(key=itemgetter(0), reverse=True)
+        out = []    # requests for level i + 1
+        for anchor, col in reqs:
+            level, att, att_reqs = col
+            if level > i:   # a carrier, whose one factor passes col up
+                for _ in range(level - i + 1):
+                    att = total_G(att)
+                att, att_reqs = embed(att), [(1, col)]
+            g = graft_at_slot(elem, anchor, att)
             elem = g.element
-            out = [(g.factor_phi[pos], c) for pos, c in out]
-            out.extend((g.factor_psi[pos], c) for pos, c in chain["att_reqs"])
-        else:
-            carrier = embed(chain["contents"][j - 1])
-            g = graft_at_slot(elem, anchor, carrier)
-            elem = g.element
-            out = [(g.factor_phi[pos], c) for pos, c in out]
-            out.append((g.factor_psi[1], chain))
-        pending = [(g.slot_phi[a], c) for a, c in pending]
-    return elem, out
+            if out:
+                out = [(g.factor_phi[pos], c) for pos, c in out]
+            if att_reqs:
+                out += [(g.factor_psi[pos], c) for pos, c in att_reqs]
+        reqs = out
+    return elem, reqs
 
 
 # -- misc ---------------------------------------------------------------------
 
-def image_sweep(n, max_factors, max_arity, use_phi2=None):
+def image_sweep(n, max_factors, max_arity):
     """Set of evaluation values over the bounded enumeration."""
     from .enumeration import enumerate_elements
 
     values = set()
     for e in enumerate_elements(n, max_factors, max_arity):
-        if (use_phi2 if use_phi2 is not None else n == 2):
+        if n == 2:
             values.add(eval_phi2(e))
         else:
             values.add(eval_phin(e))

@@ -8,8 +8,11 @@ split and graft recursively built pieces.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .elements import (
     GammaSequence,
+    HeadForm,
     compose,
     corolla,
     decompose_head,
@@ -18,6 +21,7 @@ from .elements import (
     slots_F,
     total_G,
 )
+from .errors import LevelMismatch
 
 
 def factorize(w, rng):
@@ -33,22 +37,12 @@ def factorize(w, rng):
     if w.m >= 2 and rng.random() < 0.7:
         hf = decompose_head(w)
         att = rng.choice(hf.attachments)
-        stub = embed(total_G(att.element))
-        z = embed(hf.head)
-        pos = None
-        slotmap = {s: s for s in range(1, hf.head.m + 1)}
-        for other in sorted(hf.attachments, key=lambda a: -a.slot):
-            piece = stub if other is att else other.element
-            g = graft_at_slot(z, slotmap[other.slot], piece)
-            z = g.element
-            consumed = slotmap[other.slot]
-            slotmap = {o: g.slot_phi[c] for o, c in slotmap.items()
-                       if c != consumed}
-            if other is att:
-                pos = g.factor_psi[1]
-            elif pos is not None:
-                pos = g.factor_phi[pos]
-        return z, pos, att.element
+        # the unit on att's total takes the position of att's first factor,
+        # so composing att back in there gives w
+        stub = replace(att, element=embed(total_G(att.element)))
+        a = HeadForm(hf.head, tuple(stub if other is att else other
+                                    for other in hf.attachments)).recompose()
+        return a, att.positions[0], att.element
     if rng.random() < 0.5:
         return embed(total_G(w)), 1, w
     i = rng.randint(1, w.m)
@@ -58,7 +52,7 @@ def factorize(w, rng):
 def random_with_total(level, w, rng, depth=2):
     """A level-`level` element whose total is exactly w (level of w + 1)."""
     if level < 2:
-        raise ValueError("needs level >= 2")
+        raise LevelMismatch("random_with_total needs level >= 2")
     if depth <= 0 or rng.random() < 0.4:
         return embed(w)
     a, i, b = factorize(w, rng)

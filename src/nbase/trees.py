@@ -37,12 +37,6 @@ class TreeNode:
             else:
                 yield from child.leaves()
 
-    def copy(self):
-        dup = TreeNode(self.arity, self.tag)
-        dup.children = [c.copy() if c is not None else None
-                        for c in self.children]
-        return dup
-
 
 def to_tree(x):
     """Planar tree of a level-2 element; nodes tagged with factor positions."""

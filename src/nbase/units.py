@@ -35,14 +35,10 @@ def parse_relement(text, level=None):
 
     stripped = text.strip()
     if stripped == "!e":
-        return RElement(tag="eraser")
+        return ERASER
     if stripped == "0" and level in (None, 1):
-        return RElement(tag="zero")
+        return ZERO
     return RElement(plain=parse_element(text, level=level, allow_zero=True))
-
-
-ZERO = ("rzero", "zero")      # the level-1 arity-0 degeneracy
-ERASER = ("rzero", "eraser")  # the level-2 lozenge eraser
 
 
 @dataclass(frozen=True)
@@ -53,13 +49,7 @@ class RElement:
 
     @classmethod
     def of(cls, x):
-        if isinstance(x, RElement):
-            return x
-        if x == ZERO:
-            return cls(tag="zero")
-        if x == ERASER:
-            return cls(tag="eraser")
-        return cls(plain=x)
+        return x if isinstance(x, RElement) else cls(plain=x)
 
     @property
     def is_zero(self):
@@ -77,6 +67,10 @@ class RElement:
         if self.tag:
             return "<R:%s>" % self.tag
         return "<R:%s>" % format_element(self.plain)
+
+
+ZERO = RElement(tag="zero")      # the level-1 arity-0 degeneracy
+ERASER = RElement(tag="eraser")  # the level-2 lozenge eraser
 
 
 def r_compose(x, i, u):
@@ -119,7 +113,7 @@ def r_compose(x, i, u):
                             % xp.factors[i - 1].arity)
     if xp.m == 1:
         # deleting the only lozenge leaves the bare eraser
-        return RElement(tag="eraser")
+        return ERASER
     return RElement(plain=_delete_lozenge(xp, i))
 
 
@@ -171,7 +165,7 @@ def r_normalize(x):
         return x
     e = x.plain
     if e.level == 1:
-        return RElement(tag="zero") if e.arity == 0 else RElement(plain=e)
+        return ZERO if e.arity == 0 else RElement(plain=e)
     if e.level != 2:
         raise NotImplementedLevel("normalization of plugs is defined for level <= 2")
     while True:
@@ -181,7 +175,7 @@ def r_normalize(x):
             return RElement(plain=e)
         if pos == 1:
             if e.m == 1:
-                return RElement(tag="zero")
+                return ZERO
             raise NotComposable("zero head with attachments is invalid")
         factors = list(e.factors)
         indices = list(e.indices)

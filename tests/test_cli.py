@@ -173,3 +173,20 @@ def test_group_cap_overflow_reports_counts(capsys):
     assert code == 1
     assert err.strip() == ("Overflow: coset cap 3 exceeded: defined 3, live 3, "
                            "merged 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mor", "apply1", "[2,2|1]", "{"],
+    ["mor", "apply1", "[2,2|1]", "{}"],
+    ["mor", "apply1", "[2,2|1]", '{"node_perms": 5}'],
+    ["mor", "apply1", "[2,2|1]", '{"node_perms": [5, 3]}'],
+    ["mor", "apply1", "[2,2|1]", "[1]"],
+    ["mor", "apply2", "[2,2|1]", '{"sigma": 3}'],
+])
+def test_mor_json_usage_errors_print_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: nbase mor") and "error:" in err
+    assert "Traceback" not in err

@@ -382,6 +382,16 @@ class TestGraft:
                 positions.extend(att.positions)
             assert sorted(positions) == list(range(1, z.m + 1))
 
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_factorize_recomposes(self, level):
+        from nbase.randgen import factorize, random_element
+        rng = random.Random(100 + level)
+        for _ in range(30):
+            w = random_element(level, rng, grafts=rng.randint(1, 3), max_arity=3)
+            for _ in range(3):
+                a, i, b = factorize(w, rng)
+                assert compose(a, i, b)[0] is w
+
 
 class TestInterning:
     def test_every_construction_path_returns_one_object(self):

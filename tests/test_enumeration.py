@@ -1,12 +1,19 @@
+import random
+
+import pytest
+
 from nbase.elements import POINT, corolla, embed, total_G
 from nbase.enumeration import (
+    MAX_BINARY_FACTORS,
     catalan,
     count_binary,
     enumerate_elements,
     free_ea2_component_count,
     free_plain_algebra_count,
 )
+from nbase.errors import NBaseError, SizeBound
 from nbase.grammar import format_element
+from nbase.randgen import random_with_total
 
 
 class TestEnumerate:
@@ -62,6 +69,15 @@ class TestBinaryCounts:
             rec.append(sum(rec[i] * rec[k - 1 - i] for i in range(k)))
             assert count_binary(k) == rec[k] == catalan(k)
 
+    def test_matches_recurrence_to_40_and_is_bounded(self):
+        rec = [1]
+        for k in range(1, 41):
+            rec.append(sum(rec[i] * rec[k - 1 - i] for i in range(k)))
+            assert count_binary(k) == rec[k]
+        # the bound is checked before any counting
+        with pytest.raises(SizeBound):
+            count_binary(MAX_BINARY_FACTORS + 1)
+
     def test_matches_enumeration(self):
         for k in range(1, 6):
             shapes = [e for e in enumerate_elements(2, k, 2)
@@ -106,3 +122,13 @@ class TestComponentCounts:
         assert shapes == catalan(3)
         assert perms == 24
         assert product == shapes * perms * multi
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_with_total(1, corolla(2), random.Random(0)),
+    lambda: free_plain_algebra_count(1, {POINT: 2}, corolla(2), 3),
+    lambda: free_ea2_component_count(2, 1),
+])
+def test_misuse_raises_domain_errors(call):
+    with pytest.raises(NBaseError):
+        call()
