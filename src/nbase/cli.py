@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ordinals
@@ -328,9 +329,10 @@ def _dispatch(args):
     if cmd == "selftest":
         names = sorted(SUITES) if args.suite == "all" else [args.suite]
         failed = 0
-        if args.jobs > 1 and len(names) > 1:
+        workers = _worker_count(args.jobs, len(names))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_run_one, [(n, args.seed, args.size)
                                                    for n in names]))
         else:
@@ -341,6 +343,11 @@ def _dispatch(args):
         return 0 if failed == 0 else 1
 
     raise AssertionError("unhandled command %r" % cmd)
+
+
+def _worker_count(jobs, suites):
+    """Processes for `selftest --jobs`: no more than suites or CPUs."""
+    return min(jobs, suites, os.cpu_count() or 1)
 
 
 def _run_one(job):

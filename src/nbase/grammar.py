@@ -14,7 +14,11 @@ level-2 eraser.  JSON mirror: {"level": n, "factors": [...], "indices": [...]}.
 from __future__ import annotations
 
 from .elements import POINT, GammaSequence, PlainElement, corolla
-from .errors import LevelMismatch, ParseError
+from .errors import LevelMismatch, ParseError, SizeBound
+
+# the parser and the builder recurse once per bracket level; a literal
+# nested deeper than this raises SizeBound before either starts
+MAX_NESTING = 256
 
 
 def _tokenize(text):
@@ -116,12 +120,26 @@ def _build(tree, depth, level, allow_zero, raw=False):
     return PlainElement(level, factors=built, indices=indices)
 
 
+def _check_nesting(text):
+    depth = 0
+    for c in text:
+        if c == "[":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise SizeBound("element literal is nested deeper than %d"
+                                % MAX_NESTING)
+        elif c == "]":
+            depth -= 1
+
+
 def parse_element(text, level=None, allow_zero=False, raw=False):
     """Parse an element literal; infer the level from nesting if not given.
 
     With raw=True the indices need not be sorted and a GammaSequence is
     returned (for the normalize entry point).
     """
+    if text.count("[") > MAX_NESTING:
+        _check_nesting(text)
     tokens = _tokenize(text)
     parser = _Parser(tokens, allow_zero=allow_zero)
     depth, tree = parser.parse_raw()

@@ -19,9 +19,10 @@ commuting square, and composition is equivariant under two-morphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial
 
-from .elements import PlainElement, compose
+from .elements import PlainElement, compose, provenance
 from .errors import (
     DegreeMismatch,
     LevelMismatch,
@@ -31,7 +32,9 @@ from .errors import (
     RangeViolation,
     SizeBound,
 )
-from .trees import from_tree, leaf_order, node_order, to_tree
+
+# two_morphisms_between raises SizeBound above this many results
+MAX_TWO_MORPHISMS = 100_000
 
 
 def _check_perm(perm, degree, what):
@@ -42,7 +45,7 @@ def _check_perm(perm, degree, what):
 
 @dataclass(frozen=True)
 class OneMor2:
-    """Prong permutations per node; target computed via the tree view.
+    """Prong permutations per node, with the target they produce.
 
     node_perms[t-1] sends the subtree at prong p of source factor t to
     prong node_perms[t-1][p-1] of the corresponding target node.
@@ -148,7 +151,12 @@ class Square12:
 
 
 def apply_one(source, node_perms):
-    """Reorder every node's child subtrees by its permutation."""
+    """Reorder every node's child subtrees by its permutation.
+
+    One iterative preorder walk over the permuted child lists gives the
+    target's factors and graft indices, node_relabel and leaf_perm, so the
+    cost is linear in the tree and independent of its height.
+    """
     if source.level != 2:
         raise LevelMismatch("one-morphisms act on level-2 elements")
     if len(node_perms) != source.m:
@@ -157,33 +165,34 @@ def apply_one(source, node_perms):
     for t, p in enumerate(node_perms, start=1):
         _check_perm(p, source.factors[t - 1].arity, "permutation %d" % t)
 
-    root = to_tree(source)
-    nodes = node_order(root)                 # tagged with source positions
-    src_leaves = leaf_order(root)
-    leaf_tags = {}
-    for n, (node, prong) in enumerate(src_leaves, start=1):
-        leaf_tags[(node.tag, prong)] = n
-
-    for node in nodes:
-        perm = node_perms[node.tag - 1]
-        newc = [None] * node.arity
-        newtags = {}
-        for p in range(1, node.arity + 1):
-            newc[perm[p - 1] - 1] = node.children[p - 1]
-            if (node.tag, p) in leaf_tags:
-                newtags[perm[p - 1]] = leaf_tags.pop((node.tag, p))
-        node.children = newc
-        for q, tag in newtags.items():
-            leaf_tags[(node.tag, q)] = tag
-
-    target = from_tree(root)
-    tgt_nodes = node_order(root)
+    # children[s - 1][q - 1] is the node now at prong q of node s, or -n
+    # for source leaf n; the parents and leaves come from one replay
+    parents, leaves = provenance(source)
+    children = [[0] * f.arity for f in source.factors]
+    for t, (s, r) in enumerate(parents, start=2):
+        children[s - 1][node_perms[s - 1][r - 1] - 1] = t
+    for n, (s, r) in enumerate(leaves, start=1):
+        children[s - 1][node_perms[s - 1][r - 1] - 1] = -n
+    # one preorder walk of the target: a node grafts into the slot after
+    # the leaves passed so far
+    factors = []
+    indices = []
     node_relabel = [0] * source.m
-    for pos, node in enumerate(tgt_nodes, start=1):
-        node_relabel[node.tag - 1] = pos
-    leaf_perm = [0] * len(src_leaves)
-    for pos, (node, prong) in enumerate(leaf_order(root), start=1):
-        leaf_perm[leaf_tags[(node.tag, prong)] - 1] = pos
+    leaf_perm = [0] * len(leaves)
+    passed = 0
+    stack = [1]
+    while stack:
+        t = stack.pop()
+        if t < 0:
+            passed += 1
+            leaf_perm[-t - 1] = passed
+            continue
+        if factors:
+            indices.append(passed + 1)
+        factors.append(source.factors[t - 1])
+        node_relabel[t - 1] = len(factors)
+        stack.extend(reversed(children[t - 1]))
+    target = PlainElement(2, factors=factors, indices=indices)
     return OneMor2(source, node_perms, target, tuple(leaf_perm),
                    tuple(node_relabel))
 
@@ -203,14 +212,44 @@ def apply_two(source, sigma):
 
 
 def two_morphisms_between(x, y):
-    """All factor-matching permutations from x to y (both fixed and valid)."""
+    """All factor-matching permutations from x to y, in lexicographic order.
+
+    Target position t takes each unused source position holding an equal
+    factor, in increasing order, so only matching permutations are visited.
+    Their number is the product of the factorials of the equal-factor class
+    sizes; above MAX_TWO_MORPHISMS it raises SizeBound before any is built.
+    """
     if x.m != y.m:
         return []
+    positions = {}
+    for s, f in enumerate(x.factors, start=1):
+        positions.setdefault(f, []).append(s)
+    count = 1
+    for f, group in positions.items():
+        if y.factors.count(f) != len(group):
+            return []
+        count *= factorial(len(group))
+    if count > MAX_TWO_MORPHISMS:
+        raise SizeBound("%d two-morphisms between the elements, bound is %d"
+                        % (count, MAX_TWO_MORPHISMS))
     out = []
-    for sigma in permutations(range(1, x.m + 1)):
-        if all(y.factors[t - 1] == x.factors[sigma[t - 1] - 1]
-               for t in range(1, x.m + 1)):
+    sigma = []
+    used = set()
+    choices = [iter(positions[y.factors[0]])]
+    while choices:
+        s = next((s for s in choices[-1] if s not in used), None)
+        if s is None:
+            choices.pop()
+            if sigma:
+                used.discard(sigma.pop())
+            continue
+        sigma.append(s)
+        if len(sigma) == x.m:
             out.append(TwoMor2(x, y, tuple(sigma)))
+            sigma.pop()
+        else:
+            used.add(s)
+            choices.append(iter(positions[y.factors[len(sigma)]]))
     return out
 
 
@@ -277,18 +316,8 @@ def enumerate_morphisms(x, kind, max_factors=6):
     if x.m > max_factors:
         raise SizeBound("element has %d factors, bound is %d" % (x.m, max_factors))
     if kind == "one":
-        pools = [list(permutations(range(1, f.arity + 1))) for f in x.factors]
-        out = []
-
-        def rec(chosen):
-            if len(chosen) == len(pools):
-                out.append(apply_one(x, list(chosen)))
-                return
-            for p in pools[len(chosen)]:
-                rec(chosen + [p])
-
-        rec([])
-        return out
+        pools = [permutations(range(1, f.arity + 1)) for f in x.factors]
+        return [apply_one(x, perms) for perms in product(*pools)]
     if kind == "two":
         out = []
         for sigma in permutations(range(1, x.m + 1)):

@@ -119,13 +119,13 @@ def suite_oracle(seed, size):
     in the test suite): substitute the tree of y at node i of the tree of x
     and compare against the splice-and-sort composition.
     """
-    from .trees import from_tree, node_order, to_tree
+    from .trees import from_tree, to_tree
 
     rep = SuiteReport("oracle")
     cfg = _SIZES[size]
     for x, i, y in _composable_pairs_level2(cfg["pairs_nodes"]):
         root = to_tree(x)
-        nodes = node_order(root)
+        nodes = list(root.preorder())
         target = nodes[i - 1]
         sub = to_tree(y)
         sub_leaves = list(sub.leaves())

@@ -3,8 +3,8 @@
 A level-2 element is a planar tree: its factors are the internal nodes in
 preorder (root first, children left to right), and factor t+1 hangs off
 prong ``indices[t-1]`` of the partial tree built from the first t factors.
-This module converts both ways and exposes leaf/node bookkeeping used by
-the morphism calculus and the renderers.
+This module converts both ways, for the renderers and the self-test's
+substitution check; the morphism calculus reads ``provenance`` directly.
 """
 
 from __future__ import annotations
@@ -68,12 +68,3 @@ def from_tree(root):
     place(root, None)
     return PlainElement(2, factors=factors, indices=indices)
 
-
-def node_order(root):
-    """Preorder list of nodes (position 1-based lookup via index + 1)."""
-    return list(root.preorder())
-
-
-def leaf_order(root):
-    """Free prongs in left-to-right order."""
-    return list(root.leaves())

@@ -91,3 +91,43 @@ def oracle_compose(x_arities, x_indices, i, y_arities, y_indices):
         else:
             psi[t] = pos
     return arities, indices, phi, psi
+
+
+def oracle_apply_one(arities, indices, node_perms):
+    """Permute the prongs of every node of a tree.
+
+    The child or free prong at prong p of node t moves to prong
+    node_perms[t-1][p-1].  Returns (arities, indices, leaf_perm,
+    node_relabel): the canonical serialization of the permuted tree, the
+    new left-to-right position of every old leaf, and the new preorder
+    position of every node.
+    """
+    root = build_tree(arities, indices, "s")
+    old_leaves = [(node["tag"], p) for node, p in leaves_in_order(root)]
+    came_from = {}
+    for node in preorder(root):
+        perm = node_perms[node["tag"][1] - 1]
+        moved = [None] * node["arity"]
+        for p, child in enumerate(node["children"]):
+            moved[perm[p] - 1] = child
+            came_from[(node["tag"], perm[p] - 1)] = (node["tag"], p)
+        node["children"] = moved
+    new_arities, new_indices = serialize(root)
+    node_relabel = [0] * len(arities)
+    for pos, node in enumerate(preorder(root), start=1):
+        node_relabel[node["tag"][1] - 1] = pos
+    leaf_perm = [0] * len(old_leaves)
+    for pos, (node, p) in enumerate(leaves_in_order(root), start=1):
+        leaf_perm[old_leaves.index(came_from[(node["tag"], p)])] = pos
+    return new_arities, new_indices, leaf_perm, node_relabel
+
+
+def random_tree(rng, nodes, max_arity):
+    """(arities, indices) of a seeded random tree, grafted in random order."""
+    arities = [rng.randint(1, max_arity) for _ in range(nodes)]
+    prongs = arities[0]
+    indices = []
+    for a in arities[1:]:
+        indices.append(rng.randint(1, prongs))
+        prongs += a - 1
+    return serialize(build_tree(arities, indices, "r"))

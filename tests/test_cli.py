@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
-from nbase.cli import main
+from nbase.cli import _worker_count, main
+from nbase.selftest import SUITES
 
 
 def run(capsys, *argv):
@@ -190,3 +192,30 @@ def test_mor_json_usage_errors_print_usage(capsys, argv):
     assert exc.value.code == 2
     assert err.startswith("usage: nbase mor") and "error:" in err
     assert "Traceback" not in err
+
+
+def test_mor_apply1_on_a_1500_node_chain(capsys):
+    chain = "[%s|%s]" % (",".join(["1"] * 1500), ",".join(["1"] * 1499))
+    code, out, err = run(capsys, "mor", "apply1", chain,
+                         json.dumps({"node_perms": [[1]] * 1500}))
+    blob = json.loads(out)
+    assert code == 0 and err == "" and blob["target"] == chain
+    assert blob["leaf_perm"] == [1]
+    assert blob["node_relabel"] == list(range(1, 1501))
+
+
+@pytest.mark.parametrize("literal", [
+    "[" * 3000 + "1" + "|]" * 3000,
+    "[" * 100000,
+])
+def test_validate_rejects_deep_nesting(capsys, literal):
+    code, out, err = run(capsys, "validate", literal)
+    assert code == 1 and out == ""
+    assert err.startswith("SizeBound: ") and err.count("\n") == 1
+
+
+def test_selftest_workers_are_clamped():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10 ** 6, len(SUITES)) == min(len(SUITES), cpus)
+    assert _worker_count(10 ** 6, 1) == 1
+    assert _worker_count(1, len(SUITES)) == 1

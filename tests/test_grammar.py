@@ -4,8 +4,9 @@ import pytest
 
 from nbase.elements import POINT, corolla
 from nbase.enumeration import enumerate_elements
-from nbase.errors import LevelMismatch, ParseError
+from nbase.errors import LevelMismatch, ParseError, SizeBound
 from nbase.grammar import (
+    MAX_NESTING,
     element_from_json,
     element_to_json,
     format_element,
@@ -63,3 +64,14 @@ def test_json_mirror():
 def test_raw_parse():
     g = parse_element("[2,2,2|2,1]", raw=True)
     assert g.indices == (2, 1)
+
+
+def test_nesting_bound():
+    deepest = "[" * MAX_NESTING + "1" + "|]" * MAX_NESTING
+    x = parse_element(deepest)
+    assert x.level == MAX_NESTING + 1 and format_element(x) == deepest
+    # more brackets than the bound, but no deeper: the parser reports it
+    with pytest.raises(ParseError):
+        parse_element(deepest + "[]")
+    with pytest.raises(SizeBound):
+        parse_element("[" + deepest + "|]")

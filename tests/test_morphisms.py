@@ -1,11 +1,12 @@
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
 
 from nbase.elements import compose, total_G
 from nbase.enumeration import enumerate_elements
-from nbase.errors import DegreeMismatch
-from nbase.grammar import parse_element as pe
+from nbase.errors import DegreeMismatch, SizeBound
+from nbase.grammar import format_element, parse_element as pe
 from nbase.morphisms import (
     apply_one,
     apply_two,
@@ -16,6 +17,21 @@ from nbase.morphisms import (
     induced_two_on_composition,
     two_morphisms_between,
 )
+from oracle_trees import oracle_apply_one, random_tree
+
+
+def _literal(arities, indices):
+    return "[%s|%s]" % (",".join(map(str, arities)), ",".join(map(str, indices)))
+
+
+def _check_against_oracle(x, perms):
+    f = apply_one(x, perms)
+    arities = [g.arity for g in x.factors]
+    t_arities, t_indices, leaf_perm, node_relabel = oracle_apply_one(
+        arities, list(x.indices), perms)
+    assert format_element(f.target) == _literal(t_arities, t_indices)
+    assert f.leaf_perm == tuple(leaf_perm)
+    assert f.node_relabel == tuple(node_relabel)
 
 
 class TestApplyOne:
@@ -44,6 +60,28 @@ class TestApplyOne:
     def test_inverse(self):
         for f in enumerate_morphisms(pe("[2,2,2|1,3]"), "one"):
             assert f.then(f.inverse()).is_identity()
+
+
+class TestApplyOneOracle:
+    def test_every_one_morphism_of_three_node_trees(self):
+        count = 0
+        for x in enumerate_elements(2, 3, 3):
+            pools = [permutations(range(1, g.arity + 1)) for g in x.factors]
+            for perms in product(*pools):
+                _check_against_oracle(x, perms)
+                count += 1
+        assert count > 1000
+
+    def test_seeded_one_morphisms_of_four_to_six_node_trees(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            x = pe(_literal(*random_tree(rng, rng.randint(4, 6), 3)))
+            perms = []
+            for g in x.factors:
+                p = list(range(1, g.arity + 1))
+                rng.shuffle(p)
+                perms.append(tuple(p))
+            _check_against_oracle(x, perms)
 
 
 class TestApplyTwo:
@@ -155,3 +193,18 @@ class TestTwoMorphismsBetween:
 
     def test_none_when_factors_differ(self):
         assert two_morphisms_between(pe("[2,2|1]"), pe("[3,1|1]")) == []
+
+    def test_equals_brute_force_on_four_node_pairs(self):
+        pool = enumerate_elements(2, 4, 2)
+        for a in pool:
+            for b in pool:
+                brute = [] if a.m != b.m else [
+                    sigma for sigma in permutations(range(1, a.m + 1))
+                    if all(b.factors[t] == a.factors[sigma[t] - 1]
+                           for t in range(a.m))]
+                assert [m.sigma for m in two_morphisms_between(a, b)] == brute
+
+    def test_size_bound_on_twelve_node_chain(self):
+        chain = pe("[%s|%s]" % (",".join(["1"] * 12), ",".join(["1"] * 11)))
+        with pytest.raises(SizeBound):
+            two_morphisms_between(chain, chain)
