@@ -155,6 +155,12 @@ POINT = PlainElement(0)
 
 def corolla(arity, allow_zero=False):
     """The level-1 element with the given number of prongs."""
+    # a stored corolla of positive int arity is valid; arity 0, bools,
+    # floats and arities not seen yet go through the checking constructor
+    if arity.__class__ is int and arity > 0:
+        found = _corollas.get((1, arity))
+        if found is not None:
+            return found
     return PlainElement(1, arity=arity, allow_zero=allow_zero)
 
 

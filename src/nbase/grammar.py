@@ -4,103 +4,94 @@ Grammar (whitespace-insensitive):
 
     elem0 := "*"
     elem1 := positive decimal integer
-    elemN := "[" elem{N-1} ("," elem{N-1})* ["|" int ("," int)*] "]"
+    elemN := "[" elem{N-1} ("," elem{N-1})* ["|" [int ("," int)* [","]]] "]"
 
-The level is either supplied by the caller or inferred from bracket depth.
-The extension used by the unital layer adds "0" at level 1 and "!e" for the
-level-2 eraser.  JSON mirror: {"level": n, "factors": [...], "indices": [...]}.
+So `[4]` and `[4|]` are the same literal, the index list may end in a
+comma, and numbers may have leading zeros.  The level is either supplied by
+the caller or inferred from bracket depth.  Parsing is one syntax pass over
+the tokens, then one build pass, so a malformed literal is reported as a
+ParseError before any level or validation error.  The unital layer's
+extension (`units.parse_relement`) reads "0" (the level-1 zero) and "!e"
+(the level-2 eraser) itself and passes allow_zero for arity-0 corollas.
+JSON mirror: {"level": n, "factors": [...], "indices": [...]}.
 """
 
 from __future__ import annotations
 
+import re
+
 from .elements import POINT, GammaSequence, PlainElement, corolla
 from .errors import LevelMismatch, ParseError, SizeBound
 
-# the parser and the builder recurse once per bracket level; a literal
-# nested deeper than this raises SizeBound before either starts
+# the builder and the formatter recurse once per bracket level; a literal
+# nested deeper than this raises SizeBound before parsing starts
 MAX_NESTING = 256
 
-
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "[],|*":
-            tokens.append(c)
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif text[i:i + 2] == "!e":
-            tokens.append("!e")
-            i += 2
-        else:
-            raise ParseError("unexpected character %r at offset %d" % (c, i))
-    return tokens
+_FOREIGN = re.compile(r"[^\s\d\[\],|*]")
+_TOKEN = re.compile(r"\d+|[\[\],|*]")
+# every token but a number is a substring of this, the end marker "" too
+_NOT_NUMBER = "[],|*"
 
 
-class _Parser:
-    def __init__(self, tokens, allow_zero=False):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_zero = allow_zero
+def _parse(text):
+    """The syntax pass: (depth, tree) of a literal, its level not yet fixed.
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, found %r" % (expected, tok))
-        self.pos += 1
-        return tok
-
-    def parse_raw(self):
-        """Parse to (depth, tree) without fixing the level."""
-        tok = self.peek()
-        if tok == "*":
-            self.take()
-            return 0, "*"
-        if isinstance(tok, int):
-            self.take()
-            return 1, tok
+    A tree is "*", an int, or a (factors, indices) pair of lists.  Open
+    brackets are [factors, depth of the deepest factor] frames on a stack.
+    """
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ParseError("unexpected character %r at offset %d"
+                         % (bad.group(), bad.start()))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # every path that reads it raises or returns
+    take = iter(tokens).__next__
+    stack = []
+    while True:
+        tok = take()
         if tok == "[":
-            self.take()
-            factors = []
-            depths = []
-            d, f = self.parse_raw()
-            factors.append(f)
-            depths.append(d)
-            while self.peek() == ",":
-                self.take()
-                d, f = self.parse_raw()
-                factors.append(f)
-                depths.append(d)
+            stack.append([[], 0])
+            continue
+        if tok == "*":
+            tree, depth = "*", 0
+        elif tok in _NOT_NUMBER:
+            raise ParseError("cannot parse element at token %r" % (tok or None,))
+        else:
+            tree, depth = int(tok), 1
+        # an element is complete: add it to its bracket, closing brackets
+        # until one continues with another factor
+        while stack:
+            frame = stack[-1]
+            frame[0].append(tree)
+            if depth > frame[1]:
+                frame[1] = depth
+            tok = take()
+            if tok == ",":
+                break
             indices = []
-            if self.peek() == "|":
-                self.take()
-                while isinstance(self.peek(), int):
-                    indices.append(self.take())
-                    if self.peek() == ",":
-                        self.take()
-                    else:
+            if tok == "|":
+                tok = take()
+                while tok not in _NOT_NUMBER:
+                    indices.append(int(tok))
+                    tok = take()
+                    if tok != ",":
                         break
-            self.take("]")
-            depth = max(depths) + 1
-            return depth, ("node", factors, depths, indices)
-        raise ParseError("cannot parse element at token %r" % (tok,))
+                    tok = take()
+            if tok != "]":
+                if not tok:
+                    raise ParseError("unexpected end of input")
+                raise ParseError("expected ']', found %r"
+                                 % (tok if tok in _NOT_NUMBER else int(tok),))
+            stack.pop()
+            tree, depth = (frame[0], indices), frame[1] + 1
+        else:
+            if take():
+                raise ParseError("trailing input after element literal")
+            return depth, tree
 
 
-def _build(tree, depth, level, allow_zero, raw=False):
-    """Lift the parse tree to a PlainElement at the requested level."""
+def _build(tree, level, allow_zero, raw=False):
+    """Lift a syntax tree to a PlainElement at the requested level."""
     if level == 0:
         if tree != "*":
             raise LevelMismatch("expected the point at level 0")
@@ -111,10 +102,10 @@ def _build(tree, depth, level, allow_zero, raw=False):
         if not isinstance(tree, int):
             raise LevelMismatch("expected an integer at level 1")
         return corolla(tree, allow_zero=allow_zero)
-    if not (isinstance(tree, tuple) and tree[0] == "node"):
+    if not isinstance(tree, tuple):
         raise LevelMismatch("expected a bracketed element at level %d" % level)
-    _, factors, depths, indices = tree
-    built = [_build(f, d, level - 1, allow_zero) for f, d in zip(factors, depths)]
+    factors, indices = tree
+    built = [_build(f, level - 1, allow_zero) for f in factors]
     if raw:
         return GammaSequence(level, tuple(built), tuple(indices)).validate()
     return PlainElement(level, factors=built, indices=indices)
@@ -140,17 +131,13 @@ def parse_element(text, level=None, allow_zero=False, raw=False):
     """
     if text.count("[") > MAX_NESTING:
         _check_nesting(text)
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, allow_zero=allow_zero)
-    depth, tree = parser.parse_raw()
-    if parser.pos != len(tokens):
-        raise ParseError("trailing input after element literal")
+    depth, tree = _parse(text)
     if level is None:
         level = depth
     if level < depth:
         raise LevelMismatch(
             "literal has nesting depth %d, deeper than level %d" % (depth, level))
-    return _build(tree, depth, level, allow_zero, raw=raw)
+    return _build(tree, level, allow_zero, raw=raw)
 
 
 def format_element(x):

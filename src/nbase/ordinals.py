@@ -36,7 +36,13 @@ from .elements import (
     graft_at_slot,
     total_G,
 )
-from .errors import LevelMismatch, NotImplementedLevel, OutOfRange, ParseError
+from .errors import (
+    LevelMismatch,
+    NotImplementedLevel,
+    OutOfRange,
+    ParseError,
+    SizeBound,
+)
 
 
 # -- notation ---------------------------------------------------------------
@@ -53,6 +59,10 @@ class Ordinal:
     def __repr__(self):
         return "<ord %s>" % format_ordinal(self)
 
+
+# parsing, cmp and formatting recurse once per parenthesis level; a literal
+# nested deeper than this raises SizeBound before parsing starts
+MAX_NESTING = 256
 
 ZERO = Ordinal(())
 ONE = Ordinal((None,))
@@ -186,6 +196,13 @@ def _format_term(t):
 
 def parse_ordinal(text):
     """Parse `0 | term (+ term)*` with term `nat | w | w^(ord) | phi(a,b)`."""
+    if text.count("(") > MAX_NESTING:
+        depth = 0
+        for c in text:
+            depth += (c == "(") - (c == ")")
+            if depth > MAX_NESTING:
+                raise SizeBound("ordinal literal is nested deeper than %d"
+                                % MAX_NESTING)
     pos = 0
     text = text.strip()
 
@@ -217,9 +234,9 @@ def parse_ordinal(text):
         if pos >= len(text):
             raise ParseError("unexpected end of ordinal literal")
         c = text[pos]
-        if c.isdigit():
+        if c.isdecimal():
             j = pos
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             n = int(text[pos:j])
             pos = j

@@ -14,7 +14,11 @@ from itertools import combinations
 from math import factorial
 
 from .elements import provenance
-from .errors import NotBinary, Overflow, RangeViolation
+from .errors import NotBinary, Overflow, RangeViolation, SizeBound
+
+# symmetric_presentation builds n(n-1)/2 relators; a coset enumeration of
+# the n! cosets is out of reach long before this degree
+MAX_SYM_DEGREE = 64
 
 
 def free_reduce(word):
@@ -57,6 +61,9 @@ def symmetric_presentation(n):
     """Adjacent-transposition presentation of the permutations of n letters."""
     if n < 2:
         raise RangeViolation("symmetric presentation needs n >= 2, got %d" % n)
+    if n > MAX_SYM_DEGREE:
+        raise SizeBound("symmetric presentation is limited to n <= %d, got %d"
+                        % (MAX_SYM_DEGREE, n))
     rels = []
     for i in range(1, n):
         rels.append((i, i))

@@ -37,22 +37,20 @@ def render_ascii(x):
 
 
 def _ascii_tree(x):
-    root = to_tree(x)
+    # an explicit stack of (node or None for a free prong, line prefix),
+    # pushed right to left so that prongs pop left to right
     lines = []
-
-    def walk(node, prefix, tail):
-        lines.append("%s%s(%d)" % (prefix, "node%d" % node.tag, node.arity))
+    stack = [(to_tree(x), "")]
+    while stack:
+        node, prefix = stack.pop()
+        if node is None:
+            lines.append(prefix + "leaf")
+            continue
+        lines.append("%snode%d(%d)" % (prefix, node.tag, node.arity))
         child_prefix = prefix.replace("+-", "| ").replace("`-", "  ")
-        for p in range(1, node.arity + 1):
-            last = p == node.arity
-            branch = "`-" if last else "+-"
-            child = node.children[p - 1]
-            if child is None:
-                lines.append("%s%sleaf" % (child_prefix, branch))
-            else:
-                walk(child, child_prefix + branch, last)
-
-    walk(root, "", True)
+        for p in range(node.arity, 0, -1):
+            branch = "`-" if p == node.arity else "+-"
+            stack.append((node.children[p - 1], child_prefix + branch))
     return lines
 
 
@@ -81,21 +79,24 @@ def render_dot(x):
 
 
 def _dot_tree(x, prefix):
-    root = to_tree(x)
+    # an explicit stack of nodes still to draw and lines still to emit; a
+    # child's edge line is pushed under it, so it follows the child's subtree
     lines = []
-
-    def walk(node):
+    stack = [to_tree(x)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            lines.append(node)
+            continue
         name = "%s%d" % (prefix, node.tag)
         lines.append('  %s [shape=triangle,label="%d"];' % (name, node.tag))
-        for p in range(1, node.arity + 1):
+        for p in range(node.arity, 0, -1):
             child = node.children[p - 1]
             if child is None:
                 leaf = "%s_l%d_%d" % (name, node.tag, p)
-                lines.append("  %s [shape=point];" % leaf)
-                lines.append('  %s -> %s [label="%d"];' % (name, leaf, p))
+                stack.append('  %s -> %s [label="%d"];' % (name, leaf, p))
+                stack.append("  %s [shape=point];" % leaf)
             else:
-                walk(child)
-                lines.append('  %s -> %s%d [label="%d"];' % (name, prefix, child.tag, p))
-
-    walk(root)
+                stack.append('  %s -> %s%d [label="%d"];' % (name, prefix, child.tag, p))
+                stack.append(child)
     return lines

@@ -24,18 +24,23 @@ class TreeNode:
         self.tag = tag
 
     def preorder(self):
-        yield self
-        for child in self.children:
-            if child is not None:
-                yield from child.preorder()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(c for c in reversed(node.children) if c is not None)
 
     def leaves(self):
         """(node, prong) pairs of the free prongs, left to right."""
-        for p, child in enumerate(self.children, start=1):
-            if child is None:
-                yield (self, p)
-            else:
-                yield from child.leaves()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):
+                yield node
+                continue
+            for p in range(node.arity, 0, -1):
+                child = node.children[p - 1]
+                stack.append((node, p) if child is None else child)
 
 
 def to_tree(x):

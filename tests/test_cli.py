@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -219,3 +220,47 @@ def test_selftest_workers_are_clamped():
     assert _worker_count(10 ** 6, len(SUITES)) == min(len(SUITES), cpus)
     assert _worker_count(10 ** 6, 1) == 1
     assert _worker_count(1, len(SUITES)) == 1
+
+
+def test_render_ascii_is_unchanged(capsys):
+    code, out, err = run(capsys, "render", "[2,2|1]")
+    assert code == 0 and err == ""
+    assert out == "node1(2)\n+-node2(2)\n| +-leaf\n| `-leaf\n`-leaf\n"
+
+
+@pytest.mark.parametrize("fmt,nodes", [("ascii", "node"), ("dot", "shape=triangle")])
+def test_render_on_a_1500_node_chain(capsys, fmt, nodes):
+    chain = "[%s|%s]" % (",".join(["1"] * 1500), ",".join(["1"] * 1499))
+    code, out, err = run(capsys, "render", chain, "--format", fmt)
+    assert code == 0 and err == ""
+    assert out.count(nodes) == 1500
+
+
+@pytest.mark.parametrize("opener", ["phi(1,", "w^("])
+def test_ord_cmp_nesting_bound(capsys, opener):
+    literal = opener * 256 + "1" + ")" * 256
+    code, out, err = run(capsys, "ord", "cmp", literal, literal)
+    assert code == 0 and out.strip() == "EQ" and err == ""
+    literal = opener * 2000 + "1" + ")" * 2000
+    code, out, err = run(capsys, "ord", "cmp", literal, literal)
+    assert code == 1 and out == ""
+    assert err.startswith("SizeBound: ") and err.count("\n") == 1
+
+
+def test_group_order_sym_degree_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "order", "--sym", "1000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("SizeBound: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "cmp", "²", "1"],
+    ["ord", "add", "w", "w+¹"],
+    ["validate", "[²|]"],
+])
+def test_non_decimal_digits_are_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ParseError: ") and err.count("\n") == 1

@@ -1,10 +1,18 @@
 import json
+import random
+import re
 
 import pytest
 
 from nbase.elements import POINT, corolla
 from nbase.enumeration import enumerate_elements
-from nbase.errors import LevelMismatch, ParseError, SizeBound
+from nbase.errors import (
+    LevelMismatch,
+    NBaseError,
+    ParseError,
+    RangeViolation,
+    SizeBound,
+)
 from nbase.grammar import (
     MAX_NESTING,
     element_from_json,
@@ -75,3 +83,100 @@ def test_nesting_bound():
         parse_element(deepest + "[]")
     with pytest.raises(SizeBound):
         parse_element("[" + deepest + "|]")
+
+
+def _spaced(literal, rng):
+    """The literal with random whitespace before, between and after tokens."""
+    pieces = re.findall(r"\d+|\S", literal)
+    gaps = rng.choices(["", "", " ", "\t", "\n", " \r\n "], k=len(pieces) + 1)
+    return "".join(g + p for g, p in zip(gaps, pieces + [""]))
+
+
+@pytest.mark.parametrize("level,factors,arity", [(2, 5, 3), (3, 3, 2)])
+def test_roundtrip_with_whitespace_between_tokens(level, factors, arity):
+    rng = random.Random("whitespace/%d" % level)
+    for e in enumerate_elements(level, factors, arity):
+        assert parse_element(_spaced(format_element(e), rng)) is e
+
+
+MUTATION_ALPHABET = "[],|*0123456789 x!"
+ARGUMENT_SETS = [{}, {"level": 2}, {"level": 3}, {"raw": True},
+                 {"allow_zero": True}]
+
+
+def _mutants(literal, rng):
+    """Seeded single-character deletions, insertions and substitutions."""
+    out = []
+    for _ in range(3):
+        i = rng.randrange(len(literal))
+        out.append(literal[:i] + literal[i + 1:])
+        out.append(literal[:i] + rng.choice(MUTATION_ALPHABET) + literal[i:])
+        out.append(literal[:i] + rng.choice(MUTATION_ALPHABET) + literal[i + 1:])
+    return out
+
+
+def test_mutated_literals_parse_or_raise_domain_errors():
+    """Every mutant parses to a value that round-trips, or raises an
+    NBaseError: never IndexError, TypeError or a bare ValueError."""
+    rng = random.Random("mutants")
+    pool = ([format_element(e) for e in enumerate_elements(2, 4, 3)]
+            + [format_element(e) for e in enumerate_elements(3, 3, 2)])
+    parsed = 0
+    for literal in rng.sample(pool, 200):
+        for mutant in _mutants(literal, rng):
+            for kwargs in ARGUMENT_SETS:
+                try:
+                    value = parse_element(mutant, **kwargs)
+                except NBaseError:
+                    continue
+                parsed += 1
+                assert parse_element(format_element(value), **kwargs) == value
+    assert parsed > 100
+
+
+def test_accepted_quirks():
+    assert parse_element("[2,2|1,]") is parse_element("[2,2|1]")
+    assert parse_element("[02|]") is parse_element("[2|]")
+    assert parse_element("[2,2|01]") is parse_element("[2,2|1]")
+    assert parse_element("[4]") is parse_element("[4|]")
+    assert parse_element("\t[ 2\n,2|\n1 , ]\n") is parse_element("[2,2|1]")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[2,2|1 3]", "expected ']', found 3"),
+    ("[2|1,,]", "expected ']', found ','"),
+    ("[2 [", "expected ']', found '['"),
+    ("[2,2|1", "unexpected end of input"),
+    ("", "cannot parse element at token None"),
+    ("[2,]", "cannot parse element at token ']'"),
+    ("[2,2|1]]", "trailing input after element literal"),
+    ("[2,2|1]x", "unexpected character 'x' at offset 7"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_element(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,kwargs", [
+    ("[2,2|5] junk", {}),
+    ("[2,2|5]]", {}),
+    ("[2,2|1] junk", {"level": 1}),
+    ("[2,2|1,1", {}),
+    ("[0,2|1 1]", {}),
+])
+def test_parse_error_wins_over_level_and_validation_errors(text, kwargs):
+    with pytest.raises(ParseError):
+        parse_element(text, **kwargs)
+
+
+def test_zero_arity_needs_allow_zero():
+    zero_graft = parse_element("[2,0|1]", allow_zero=True)
+    assert zero_graft.factors[1].arity == 0
+    for text in ("[2,0|1]", "0"):
+        with pytest.raises(RangeViolation):
+            parse_element(text)
+    assert corolla(1).arity == 1
+    for arity in (0, 1.0, -1):
+        with pytest.raises(RangeViolation):
+            corolla(arity)
