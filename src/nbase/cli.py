@@ -131,8 +131,6 @@ def _parser():
     osub = sp.add_subparsers(dest="ord_command", required=True)
     oe = osub.add_parser("eval")
     oe.add_argument("--level", type=int, default=None)
-    oe.add_argument("--general", action="store_true",
-                    help="use the hierarchy evaluation even at level 2")
     oe.add_argument("literal")
     oc = osub.add_parser("encode")
     oc.add_argument("--level", type=int, required=True)
@@ -358,11 +356,7 @@ def _run_one(job):
 def _dispatch_ord(args):
     if args.ord_command == "eval":
         x = parse_element(args.literal, level=args.level)
-        if x.level == 2 and not args.general:
-            value = ordinals.eval_phi2(x)
-        else:
-            value = ordinals.eval_phin(x)
-        print(ordinals.format_ordinal(value))
+        print(ordinals.format_ordinal(ordinals.eval_phin(x)))
         return 0
     if args.ord_command == "encode":
         beta = ordinals.parse_ordinal(args.ordinal)

@@ -23,8 +23,9 @@ import re
 from .elements import POINT, GammaSequence, PlainElement, corolla
 from .errors import LevelMismatch, ParseError, SizeBound
 
-# the builder and the formatter recurse once per bracket level; a literal
-# nested deeper than this raises SizeBound before parsing starts
+# the builder, the formatter and the JSON reader recurse once per level; a
+# literal nested deeper than this, or a JSON element of a higher level,
+# raises SizeBound before any recursion
 MAX_NESTING = 256
 
 _FOREIGN = re.compile(r"[^\s\d\[\],|*]")
@@ -168,10 +169,37 @@ def element_to_json(x):
 
 
 def element_from_json(obj, allow_zero=False):
-    level = obj["level"]
+    """Element of a JSON mirror.
+
+    Every factor must be one level below its element, so the recursion is
+    as deep as the top level, which may not exceed MAX_NESTING.
+    """
+    level = _json_field(obj, "level", int)
+    if level < 0:
+        raise ParseError("JSON element of negative level %d" % level)
+    if level > MAX_NESTING:
+        raise SizeBound("JSON element of level %d, bound is %d"
+                        % (level, MAX_NESTING))
+    return _from_json(obj, level, allow_zero)
+
+
+def _from_json(obj, level, allow_zero):
+    found = _json_field(obj, "level", int)
+    if found != level:
+        raise LevelMismatch("expected a level-%d JSON element, found level %d"
+                            % (level, found))
     if level == 0:
         return POINT
     if level == 1:
-        return corolla(obj["arity"], allow_zero=allow_zero)
-    factors = [element_from_json(f, allow_zero) for f in obj["factors"]]
-    return PlainElement(level, factors=factors, indices=obj["indices"])
+        return corolla(_json_field(obj, "arity", int), allow_zero=allow_zero)
+    factors = [_from_json(f, level - 1, allow_zero)
+               for f in _json_field(obj, "factors", list)]
+    return PlainElement(level, factors=factors,
+                        indices=_json_field(obj, "indices", list))
+
+
+def _json_field(obj, key, kind):
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not kind:
+        raise ParseError("expected a JSON object with %s %r" % (kind.__name__, key))
+    return value

@@ -32,6 +32,7 @@ from .errors import (
     RangeViolation,
     SizeBound,
 )
+from .trees import walk
 
 # two_morphisms_between raises SizeBound above this many results
 MAX_TWO_MORPHISMS = 100_000
@@ -153,9 +154,8 @@ class Square12:
 def apply_one(source, node_perms):
     """Reorder every node's child subtrees by its permutation.
 
-    One iterative preorder walk over the permuted child lists gives the
-    target's factors and graft indices, node_relabel and leaf_perm, so the
-    cost is linear in the tree and independent of its height.
+    ``trees.walk`` reads target, node_relabel and leaf_perm off the permuted
+    child lists in one iterative pass, linear in the tree whatever its height.
     """
     if source.level != 2:
         raise LevelMismatch("one-morphisms act on level-2 elements")
@@ -165,34 +165,14 @@ def apply_one(source, node_perms):
     for t, p in enumerate(node_perms, start=1):
         _check_perm(p, source.factors[t - 1].arity, "permutation %d" % t)
 
-    # children[s - 1][q - 1] is the node now at prong q of node s, or -n
-    # for source leaf n; the parents and leaves come from one replay
+    # trees.child_lists of the source, each entry at its permuted prong
     parents, leaves = provenance(source)
     children = [[0] * f.arity for f in source.factors]
     for t, (s, r) in enumerate(parents, start=2):
         children[s - 1][node_perms[s - 1][r - 1] - 1] = t
     for n, (s, r) in enumerate(leaves, start=1):
         children[s - 1][node_perms[s - 1][r - 1] - 1] = -n
-    # one preorder walk of the target: a node grafts into the slot after
-    # the leaves passed so far
-    factors = []
-    indices = []
-    node_relabel = [0] * source.m
-    leaf_perm = [0] * len(leaves)
-    passed = 0
-    stack = [1]
-    while stack:
-        t = stack.pop()
-        if t < 0:
-            passed += 1
-            leaf_perm[-t - 1] = passed
-            continue
-        if factors:
-            indices.append(passed + 1)
-        factors.append(source.factors[t - 1])
-        node_relabel[t - 1] = len(factors)
-        stack.extend(reversed(children[t - 1]))
-    target = PlainElement(2, factors=factors, indices=indices)
+    target, node_relabel, leaf_perm = walk(source.factors, children, len(leaves))
     return OneMor2(source, node_perms, target, tuple(leaf_perm),
                    tuple(node_relabel))
 

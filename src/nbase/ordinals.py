@@ -6,14 +6,14 @@ phi_a(b) in normal form (b below the value, subscripts absorbed).  The
 subscript convention is shifted so that phi_1(b) is the omega power
 omega^(1+b); for subscripts >= 2 the shift is invisible.
 
-The element evaluation walks head decompositions: at level 2 a free prong
-contributes 1 and a subtree s contributes omega^(eval(s)); one level up,
-an attachment at a slot contributes the next function in the hierarchy
-applied (shift-adjusted) to the attachment's value, delivered through the
-slot it subdivides.  A per-slot value attached to a factor surfaces where
-that factor heads its local decomposition, replacing the 1s of its free
-slots; encode never builds anything but single-use carriers, so the value
-appears exactly once.
+At level 2 the element evaluation goes node by node, children first: a
+free prong contributes 1 and a subtree s contributes omega^(eval(s)).  At
+levels >= 3 it walks head decompositions: an attachment at a slot adds the
+next function in the hierarchy applied (shift-adjusted) to its value,
+delivered through the slot it subdivides.  A per-slot value attached to a
+factor surfaces where that factor heads its local decomposition, replacing
+the 1s of its free slots; encode never builds anything but single-use
+carriers, so the value appears exactly once.
 
 encode inverts the default evaluation constructively, one level at a
 time: each normal-form term becomes a column, a prong of the level-1
@@ -43,6 +43,7 @@ from .errors import (
     ParseError,
     SizeBound,
 )
+from .trees import child_lists
 
 
 # -- notation ---------------------------------------------------------------
@@ -60,7 +61,7 @@ class Ordinal:
         return "<ord %s>" % format_ordinal(self)
 
 
-# parsing, cmp and formatting recurse once per parenthesis level; a literal
+# parsing and cmp recurse once per parenthesis level; a literal
 # nested deeper than this raises SizeBound before parsing starts
 MAX_NESTING = 256
 
@@ -170,28 +171,37 @@ def hier(k, g):
 # -- formatting and parsing --------------------------------------------------
 
 def format_ordinal(x):
-    if x.is_zero():
-        return "0"
-    parts = []
-    ones = 0
-    for t in x.terms:
-        if t is None:
-            ones += 1
-            continue
-        parts.append(_format_term(t))
-    if ones:
-        parts.append(str(ones))
-    return "+".join(parts)
+    """Literal of a notation, by an explicit stack of ordinals and text."""
+    out = []
+    stack = [x]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_zero():
+            out.append("0")
+        else:
+            pieces = []
+            for t in item.terms:
+                if t is not None:
+                    pieces += [*_term_pieces(t), "+"]
+            ones = item.terms.count(None)
+            if ones:
+                pieces.append(str(ones))
+            else:
+                pieces.pop()
+            stack.extend(reversed(pieces))
+    return "".join(out)
 
 
-def _format_term(t):
+def _term_pieces(t):
     a, b = t
     if cmp(a, ONE) == 0:
         exponent = add(ONE, b)
         if cmp(exponent, ONE) == 0:
-            return "w"
-        return "w^(%s)" % format_ordinal(exponent)
-    return "phi(%s,%s)" % (format_ordinal(a), format_ordinal(b))
+            return ("w",)
+        return ("w^(", exponent, ")")
+    return ("phi(", a, ",", b, ")")
 
 
 def parse_ordinal(text):
@@ -274,15 +284,7 @@ def eval_phi2(z):
     a free prong adds 1, a subtree s adds omega^(eval_phi2(s))."""
     if z.level != 2:
         raise NotImplementedLevel("eval_phi2 needs a level-2 element")
-    hf = decompose_head(z)
-    occupied = {att.slot: att.element for att in hf.attachments}
-    acc = ZERO
-    for p in range(1, hf.head.arity + 1):
-        if p in occupied:
-            acc = add(acc, omega_pow(eval_phi2(occupied[p])))
-        else:
-            acc = add(acc, ONE)
-    return acc
+    return _walk(z, {}, 2)
 
 
 def eval_phin(z, alphas=None):
@@ -312,6 +314,19 @@ def _walk(z, bindings, level):
         for p in range(1, z.arity + 1):
             acc = add(acc, bindings.get(p, ONE))
         return acc
+    if level == 2:
+        # in reverse preorder; a bound node's free prongs add nothing
+        children = child_lists(z)
+        values = [None] * z.m
+        for t in range(z.m, 0, -1):
+            acc = bindings.get(t, ZERO)
+            for c in children[t - 1]:
+                if c > 0:
+                    acc = add(acc, hier(1, values[c - 1]))
+                elif t not in bindings:
+                    acc = add(acc, ONE)
+            values[t - 1] = acc
+        return values[0]
     hf = decompose_head(z)
     att_vals = []
     for att in hf.attachments:
@@ -324,8 +339,7 @@ def _walk(z, bindings, level):
         for _slot, val in att_vals:
             acc = add(acc, val)
         return acc
-    v = dict(att_vals)
-    return _walk(hf.head, v, level - 1)
+    return _walk(hf.head, dict(att_vals), level - 1)
 
 
 # -- encoding -----------------------------------------------------------------
@@ -411,8 +425,5 @@ def image_sweep(n, max_factors, max_arity):
 
     values = set()
     for e in enumerate_elements(n, max_factors, max_arity):
-        if n == 2:
-            values.add(eval_phi2(e))
-        else:
-            values.add(eval_phin(e))
+        values.add(eval_phin(e))
     return values

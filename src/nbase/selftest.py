@@ -113,33 +113,29 @@ def suite_axioms(seed, size):
 
 
 def suite_oracle(seed, size):
-    """compose against node substitution through the tree view.
+    """compose against node substitution on child lists.
 
-    This is an in-package cross-check (the fully independent oracle lives
-    in the test suite): substitute the tree of y at node i of the tree of x
-    and compare against the splice-and-sort composition.
+    An in-package cross-check (the independent oracle is in the test
+    suite): y's child lists replace node i of x and ``trees.walk`` reads
+    the tree back, to compare with the splice-and-sort composition.
     """
-    from .trees import from_tree, to_tree
+    from .trees import child_lists, splice, walk
 
     rep = SuiteReport("oracle")
     cfg = _SIZES[size]
     for x, i, y in _composable_pairs_level2(cfg["pairs_nodes"]):
-        root = to_tree(x)
-        nodes = list(root.preorder())
-        target = nodes[i - 1]
-        sub = to_tree(y)
-        sub_leaves = list(sub.leaves())
-        for p in range(1, target.arity + 1):
-            node, prong = sub_leaves[p - 1]
-            node.children[prong - 1] = target.children[p - 1]
+        children = child_lists(x)
+        factors = list(x.factors + y.factors)
+        k = x.m
+        # node t of y becomes node k + t, and its leaf n takes the entry at
+        # prong n of node i
+        children += [[k + c if c > 0 else children[i - 1][-c - 1] for c in entries]
+                     for entries in child_lists(y)]
         if i == 1:
-            new_root = sub
+            children[0], factors[0] = children[k], factors[k]
         else:
-            parent = next(n for n in nodes
-                          if target in [c for c in n.children if c is not None])
-            parent.children[parent.children.index(target)] = sub
-            new_root = root
-        expected = from_tree(new_root)
+            splice(children, i, [k + 1])
+        expected = walk(factors, children, total_G(x).arity)[0]
         got, sh = compose(x, i, y)
         rep.check(got == expected,
                   lambda: "compose %s %d %s" % (format_element(x), i,

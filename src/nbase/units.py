@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import PlainElement, compose, corolla, embed, provenance, total_G
+from .elements import PlainElement, compose, corolla, embed, total_G
 from .enumeration import _enumerate, enumerate_elements
 from .errors import NotComposable, NotImplementedLevel, RangeViolation
 from .grammar import format_element
+from .trees import child_lists, splice, walk
 
 
 def unit(y):
@@ -59,10 +60,6 @@ class RElement:
     def is_eraser(self):
         return self.tag == "eraser"
 
-    @property
-    def m(self):
-        return 0 if self.tag else self.plain.m
-
     def __repr__(self):
         if self.tag:
             return "<R:%s>" % self.tag
@@ -79,7 +76,7 @@ def r_compose(x, i, u):
     Plain-with-plain falls through to ordinary composition over the
     extended base.  Plugging the zero at level 1 subtracts a prong; at
     level 2, i names a free prong of the total and the capped element comes
-    back already normalized.  Plugging the eraser requires factor i to have
+    back in canonical order.  Plugging the eraser requires factor i to have
     arity 1 and deletes it.
     """
     x = RElement.of(x)
@@ -117,48 +114,36 @@ def r_compose(x, i, u):
     return RElement(plain=_delete_lozenge(xp, i))
 
 
-def _cap_prong(x, prong):
-    """Execute a zero-plug at a free prong of the total.
+def _rebuild(x, children):
+    """Canonical element of x's edited child lists; arities are entry counts."""
+    factors = [corolla(len(c), allow_zero=True) for c in children]
+    return walk(factors, children, total_G(x).arity)[0]
 
-    The owning corolla loses the prong; graft indices that counted the
-    capped prong to their left at graft time shift down by one.  The capped
-    prong's position is tracked forward from the owner's entry.
-    """
-    t, q = provenance(x)[1][prong - 1]
-    factors = list(x.factors)
-    factors[t - 1] = corolla(factors[t - 1].arity - 1, allow_zero=True)
-    indices = list(x.indices)
-    p = q if t == 1 else indices[t - 2] - 1 + q
-    for s in range(t + 1, x.m + 1):
-        sigma = indices[s - 2]
-        if sigma < p:
-            p += x.factors[s - 1].arity - 1
-        else:
-            indices[s - 2] = sigma - 1
-    if len(factors) == 1:
-        return PlainElement(2, factors=factors, indices=())
-    return PlainElement(2, factors=factors, indices=indices)
+
+def _cap_prong(x, prong):
+    """Execute a zero-plug at a free prong of the total: drop its leaf entry."""
+    children = child_lists(x)
+    splice(children, -prong, [])
+    return _rebuild(x, children)
 
 
 def _delete_lozenge(x, i):
-    """Remove an arity-1 factor; a 1-ary graft never shifts slot numbers."""
-    factors = list(x.factors)
-    indices = list(x.indices)
-    del factors[i - 1]
+    """Remove an arity-1 factor; its one entry takes its place."""
+    children = child_lists(x)
     if i == 1:
-        del indices[0]
+        children[0] = children[children[0][0] - 1]
     else:
-        del indices[i - 2]
-    return PlainElement(2, factors=factors, indices=indices)
+        splice(children, i, children[i - 1])
+    return _rebuild(x, children)
 
 
 def r_normalize(x):
     """Execute every zero-plug until no arity-0 entry remains.
 
     An arity-0 factor other than the head was grafted at some prong; the
-    plug executes by deleting the factor and decrementing the corolla that
-    owned the prong (in the partial composite before the plug; no other
-    index moves, the plug's own graft already consumed the slot).
+    plug deletes the factor together with that prong of its parent, which
+    may empty the parent in turn.  One reverse-preorder pass drops the
+    empty nodes bottom-up; an emptied root leaves the zero.
     """
     x = RElement.of(x)
     if x.tag:
@@ -168,25 +153,12 @@ def r_normalize(x):
         return ZERO if e.arity == 0 else RElement(plain=e)
     if e.level != 2:
         raise NotImplementedLevel("normalization of plugs is defined for level <= 2")
-    while True:
-        pos = next((t for t, f in enumerate(e.factors, start=1)
-                    if f.arity == 0), None)
-        if pos is None:
-            return RElement(plain=e)
-        if pos == 1:
-            if e.m == 1:
-                return ZERO
-            raise NotComposable("zero head with attachments is invalid")
-        factors = list(e.factors)
-        indices = list(e.indices)
-        t, _q = provenance(e)[0][pos - 2]
-        del factors[pos - 1]
-        del indices[pos - 2]
-        factors[t - 1] = corolla(factors[t - 1].arity - 1, allow_zero=True)
-        if len(factors) == 1:
-            e = PlainElement(2, factors=factors, indices=())
-        else:
-            e = PlainElement(2, factors=factors, indices=indices)
+    children = child_lists(e)
+    for entries in reversed(children):
+        entries[:] = [c for c in entries if c < 0 or children[c - 1]]
+    if not children[0]:
+        return ZERO
+    return RElement(plain=_rebuild(e, children))
 
 
 @dataclass(frozen=True)
@@ -204,31 +176,22 @@ def check_runital_bijection(level, max_factors=3, max_arity=3):
 
     Enumerates both sides within the bounds; the extension side is every
     zero-free normal form reachable by normalizing a plugged element.
+    Normalizing only deletes nodes and prongs, so it stays in the bounds.
     """
     if level == 1:
         plain = {corolla(a) for a in range(1, max_arity + 1)}
-        extended = set()
-        for a in range(0, max_arity + 1):
-            r = r_normalize(RElement(plain=corolla(a, allow_zero=True)))
-            if not r.tag:
-                extended.add(r.plain)
-        missing = tuple(sorted(map(format_element, plain - extended)))
-        extra = tuple(sorted(map(format_element, extended - plain)))
-        return BijectionReport(1, len(plain), len(extended),
-                               plain == extended, missing, extra)
-    if level != 2:
+        plugged = [corolla(a, allow_zero=True) for a in range(max_arity + 1)]
+    elif level == 2:
+        plain = set(enumerate_elements(2, max_factors, max_arity))
+        plugged = _enumerate(2, max_factors, max_arity, 0)
+    else:
         raise NotImplementedLevel("bijection check is defined for level <= 2")
-
-    plain = set(enumerate_elements(2, max_factors, max_arity))
     extended = set()
-    for e in _enumerate(2, max_factors, max_arity, 0):
+    for e in plugged:
         r = r_normalize(RElement(plain=e))
-        if r.tag:
-            continue
-        p = r.plain
-        if p.m <= max_factors and all(f.arity <= max_arity for f in p.factors):
-            extended.add(p)
+        if not r.tag:
+            extended.add(r.plain)
     missing = tuple(sorted(map(format_element, plain - extended)))
     extra = tuple(sorted(map(format_element, extended - plain)))
-    return BijectionReport(2, len(plain), len(extended),
+    return BijectionReport(level, len(plain), len(extended),
                            plain == extended, missing, extra)

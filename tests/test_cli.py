@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import nbase
 from nbase.cli import _worker_count, main
 from nbase.selftest import SUITES
 
@@ -205,6 +208,13 @@ def test_mor_apply1_on_a_1500_node_chain(capsys):
     assert blob["node_relabel"] == list(range(1, 1501))
 
 
+def test_ord_eval_on_a_1500_node_chain(capsys):
+    chain = "[%s|%s]" % (",".join(["1"] * 1500), ",".join(["1"] * 1499))
+    code, out, err = run(capsys, "ord", "eval", "--level", "2", chain)
+    assert code == 0 and err == ""
+    assert out == "w^(" * 1498 + "w" + ")" * 1498 + "\n"
+
+
 @pytest.mark.parametrize("literal", [
     "[" * 3000 + "1" + "|]" * 3000,
     "[" * 100000,
@@ -264,3 +274,22 @@ def test_non_decimal_digits_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("ParseError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "eval", "--level", "2", "[1,1|1]"],
+    ["mor", "apply1", "[2,2|1]", '{"node_perms": [[2,1],[1,2]]}'],
+    ["render", "[2,2|1]", "--format", "dot"],
+])
+def test_readme_commands_under_python_O(argv):
+    # -O strips asserts; no result may depend on one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nbase.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "nbase.cli", *argv],
+                       capture_output=True, text=True, env=env, timeout=60)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 0 and plain.stdout and plain.stderr == ""
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout

@@ -180,3 +180,57 @@ def test_zero_arity_needs_allow_zero():
     for arity in (0, 1.0, -1):
         with pytest.raises(RangeViolation):
             corolla(arity)
+
+
+def _json_chain(depth, top=None):
+    obj = {"level": 1, "arity": 1}
+    for level in range(2, depth + 1):
+        obj = {"level": level, "factors": [obj], "indices": []}
+    if top is not None:
+        obj["level"] = top
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    {"level": 2},
+    {"level": 1},
+    {"arity": 3},
+    {"level": 2, "factors": [{"level": 1, "arity": 2}]},
+    [1],
+    "[2|]",
+    None,
+    {"level": "2", "factors": [], "indices": []},
+    {"level": 2.0, "factors": [{"level": 1, "arity": 2}], "indices": []},
+    {"level": True, "arity": 1},
+    {"level": 1, "arity": 1.0},
+    {"level": 1, "arity": "3"},
+    {"level": 2, "factors": {"level": 1, "arity": 2}, "indices": []},
+    {"level": 2, "factors": [[2]], "indices": []},
+    {"level": 2, "factors": [{"level": 1, "arity": 2}], "indices": None},
+    {"level": -1},
+])
+def test_json_shape_errors_are_parse_errors(obj):
+    with pytest.raises(ParseError):
+        element_from_json(obj)
+
+
+def test_json_factor_levels_bound_the_recursion():
+    assert element_from_json(_json_chain(MAX_NESTING)).level == MAX_NESTING
+    for obj in (_json_chain(MAX_NESTING + 1), _json_chain(2000)):
+        with pytest.raises(SizeBound):
+            element_from_json(obj)
+    # a deep object that claims a low level stops at its first factor
+    with pytest.raises(LevelMismatch):
+        element_from_json(_json_chain(2000, top=3))
+    with pytest.raises(LevelMismatch):
+        element_from_json({"level": 2, "indices": [],
+                           "factors": [{"level": 2, "factors": [], "indices": []}]})
+
+
+def test_json_keeps_validation_errors():
+    with pytest.raises(RangeViolation):
+        element_from_json({"level": 1, "arity": 0})
+    assert element_from_json({"level": 1, "arity": 0}, allow_zero=True).arity == 0
+    with pytest.raises(RangeViolation):
+        element_from_json({"level": 2, "factors": [{"level": 1, "arity": 2}] * 2,
+                           "indices": [3]})
