@@ -90,21 +90,24 @@ class _LeafParser(argparse.ArgumentParser):
 
 def _parser():
     p = argparse.ArgumentParser(prog="nbase", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_LeafParser)
 
-    def with_level(sp):
+    def with_level(sp, as_json=True, pretty=False):
         sp.add_argument("--level", type=int, default=None,
                         help="element level (inferred from nesting if omitted)")
-        sp.add_argument("--json", action="store_true", help="JSON output")
-        sp.add_argument("--pretty", action="store_true",
-                        help="append a drawing (levels <= 3)")
+        if as_json:
+            sp.add_argument("--json", action="store_true", help="JSON output")
+        if pretty:
+            sp.add_argument("--pretty", action="store_true",
+                            help="append a drawing (levels <= 3)")
 
     sp = sub.add_parser("validate", help="check an element literal")
-    with_level(sp)
+    with_level(sp, pretty=True)
     sp.add_argument("literal")
 
     sp = sub.add_parser("compose", help="substitute y into slot i of x")
-    with_level(sp)
+    with_level(sp, pretty=True)
     sp.add_argument("x")
     sp.add_argument("i", type=int)
     sp.add_argument("y")
@@ -143,8 +146,7 @@ def _parser():
     oa.add_argument("b")
 
     sp = sub.add_parser("group", help="presentations and coset enumeration")
-    gsub = sp.add_subparsers(dest="group_command", required=True,
-                             parser_class=_LeafParser)
+    gsub = sp.add_subparsers(dest="group_command", required=True)
     for name in ("present", "order", "verify"):
         gp = gsub.add_parser(name)
         source = gp
@@ -196,7 +198,7 @@ def _parser():
     mi.add_argument("--sigma-g", type=sigma, default=None)
 
     sp = sub.add_parser("render", help="draw an element")
-    with_level(sp)
+    with_level(sp, as_json=False)
     sp.add_argument("literal")
     sp.add_argument("--format", choices=("ascii", "dot"), default="ascii")
 
@@ -210,11 +212,11 @@ def _parser():
 
 
 def _emit_element(x, args):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(element_to_json(x)))
     else:
         print(format_element(x))
-    if getattr(args, "pretty", False) and x.level <= 3:
+    if args.pretty and x.level <= 3:
         print(render(x, "ascii"))
 
 
@@ -250,9 +252,7 @@ def _dispatch(args):
                 print(json.dumps({"result": element_to_json(result),
                                   "shuffle": _shuffle_json(sh)}))
             else:
-                print(format_element(result))
-                if args.pretty and result.level <= 3:
-                    print(render(result, "ascii"))
+                _emit_element(result, args)
         else:
             if args.json:
                 print(json.dumps(_shuffle_json(sh)))

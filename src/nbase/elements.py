@@ -101,10 +101,6 @@ class PlainElement:
             return self.arity
         return len(self.factors)
 
-    def slot(self, i):
-        """The i-th entry of the slot sequence (1-based)."""
-        return slots_F(self)[i - 1]
-
     def __hash__(self):
         return self._hash
 

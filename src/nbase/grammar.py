@@ -23,9 +23,9 @@ import re
 from .elements import POINT, GammaSequence, PlainElement, corolla
 from .errors import LevelMismatch, ParseError, SizeBound
 
-# the builder, the formatter and the JSON reader recurse once per level; a
-# literal nested deeper than this, or a JSON element of a higher level,
-# raises SizeBound before any recursion
+# the builder, the formatter and the JSON reader recurse once per level; the
+# parser's bracket stack, or a JSON element's level, above this raises
+# SizeBound before any recursion
 MAX_NESTING = 256
 
 _FOREIGN = re.compile(r"[^\s\d\[\],|*]")
@@ -51,6 +51,9 @@ def _parse(text):
     while True:
         tok = take()
         if tok == "[":
+            if len(stack) == MAX_NESTING:
+                raise SizeBound("element literal is nested deeper than %d"
+                                % MAX_NESTING)
             stack.append([[], 0])
             continue
         if tok == "*":
@@ -112,26 +115,12 @@ def _build(tree, level, allow_zero, raw=False):
     return PlainElement(level, factors=built, indices=indices)
 
 
-def _check_nesting(text):
-    depth = 0
-    for c in text:
-        if c == "[":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise SizeBound("element literal is nested deeper than %d"
-                                % MAX_NESTING)
-        elif c == "]":
-            depth -= 1
-
-
 def parse_element(text, level=None, allow_zero=False, raw=False):
     """Parse an element literal; infer the level from nesting if not given.
 
     With raw=True the indices need not be sorted and a GammaSequence is
     returned (for the normalize entry point).
     """
-    if text.count("[") > MAX_NESTING:
-        _check_nesting(text)
     depth, tree = _parse(text)
     if level is None:
         level = depth
@@ -142,12 +131,7 @@ def parse_element(text, level=None, allow_zero=False, raw=False):
 
 
 def format_element(x):
-    """Canonical literal of an element (inverse of parse_element)."""
-    if isinstance(x, GammaSequence):
-        inner = ",".join(format_element(f) for f in x.factors)
-        if x.indices:
-            return "[%s|%s]" % (inner, ",".join(str(i) for i in x.indices))
-        return "[%s|]" % inner
+    """Canonical literal of an element or raw sequence (inverse of parse_element)."""
     if x.level == 0:
         return "*"
     if x.level == 1:

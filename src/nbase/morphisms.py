@@ -165,7 +165,7 @@ def apply_one(source, node_perms):
     for t, p in enumerate(node_perms, start=1):
         _check_perm(p, source.factors[t - 1].arity, "permutation %d" % t)
 
-    # trees.child_lists of the source, each entry at its permuted prong
+    # trees.to_tree of the source, each entry at its permuted prong
     parents, leaves = provenance(source)
     children = [[0] * f.arity for f in source.factors]
     for t, (s, r) in enumerate(parents, start=2):

@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     SizeBound,
 )
-from .trees import child_lists
+from .trees import to_tree
 
 
 # -- notation ---------------------------------------------------------------
@@ -61,8 +61,8 @@ class Ordinal:
         return "<ord %s>" % format_ordinal(self)
 
 
-# parsing and cmp recurse once per parenthesis level; a literal
-# nested deeper than this raises SizeBound before parsing starts
+# parsing recurses once per parenthesis level (cmp and formatting do not);
+# a literal nested deeper than this raises SizeBound before parsing starts
 MAX_NESTING = 256
 
 ZERO = Ordinal(())
@@ -81,37 +81,49 @@ def to_int(x):
     return len(x.terms)
 
 
-def _term_ord(t):
-    return ONE if t is None else Ordinal((t,))
+def cmp(x, y):
+    """Total order on notations: -1, 0, or 1."""
+    return _cmp_sums(x.terms, y.terms)
 
 
 def _cmp_term(s, t):
-    if s is None and t is None:
-        return 0
-    if s is None:
-        return -1
-    if t is None:
-        return 1
-    a, b = s
-    c, d = t
-    ac = cmp(a, c)
-    if ac == 0:
-        return cmp(b, d)
-    if ac < 0:
-        # phi_a(b) vs the larger-subscript term: compare b with the whole term
-        return cmp(b, _term_ord(t))
-    return -cmp(d, _term_ord(s))
+    return _cmp_sums((s,), (t,))
 
 
-def cmp(x, y):
-    """Total order on notations: -1, 0, or 1."""
-    for s, t in zip(x.terms, y.terms):
-        c = _cmp_term(s, t)
-        if c != 0:
-            return c
-    if len(x.terms) == len(y.terms):
-        return 0
-    return -1 if len(x.terms) < len(y.terms) else 1
+def _cmp_sums(xs, ys):
+    # Terms phi_a(b) and phi_c(d) compare by subscripts, then by one pair
+    # of sums: b with d, b with the larger-subscript term, or (negated) d
+    # with the other term.  A nonzero result there decides every enclosing
+    # comparison, so the argument sums are compared in this one loop, with
+    # a stack of (xs, ys, k, sign) for the enclosing sums, resumed on a tie;
+    # only subscripts recurse.
+    stack = []
+    k = 0
+    sign = 1
+    while True:
+        if k == len(xs) or k == len(ys):
+            if len(xs) != len(ys):
+                return sign if len(xs) > len(ys) else -sign
+            if not stack:
+                return 0
+            xs, ys, k, sign = stack.pop()
+            continue
+        s, t = xs[k], ys[k]
+        k += 1
+        if s is None or t is None:
+            if s is not t:
+                return -sign if s is None else sign
+            continue
+        (a, b), (c, d) = s, t
+        ac = cmp(a, c)
+        stack.append((xs, ys, k, sign))
+        k = 0
+        if ac == 0:
+            xs, ys = b.terms, d.terms
+        elif ac < 0:
+            xs, ys = b.terms, (t,)
+        else:
+            xs, ys, sign = d.terms, (s,), -sign
 
 
 def add(x, y):
@@ -316,7 +328,7 @@ def _walk(z, bindings, level):
         return acc
     if level == 2:
         # in reverse preorder; a bound node's free prongs add nothing
-        children = child_lists(z)
+        children = to_tree(z)
         values = [None] * z.m
         for t in range(z.m, 0, -1):
             acc = bindings.get(t, ZERO)

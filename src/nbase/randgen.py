@@ -13,7 +13,7 @@ from dataclasses import replace
 from .elements import (
     GammaSequence,
     HeadForm,
-    compose,
+    _execute,
     corolla,
     decompose_head,
     embed,
@@ -122,6 +122,5 @@ def random_gamma(level, rng, steps=3, max_arity=3):
             f = random_with_total(level - 1, content, rng, depth=1)
         factors.append(f)
         indices.append(s)
-        partial = compose(partial, s, f)[0] if partial.level >= 2 else \
-            corolla(partial.arity + f.arity - 1)
+        partial = _execute(partial, s, f)
     return GammaSequence(level, tuple(factors), tuple(indices))

@@ -1,7 +1,9 @@
 """ASCII and DOT renderings of low-level elements.
 
 Levels 0..2 draw directly; a level-3 element renders as a tree of trees,
-one block (or DOT cluster) per factor.  Higher levels are refused.
+one block (or DOT cluster) per factor.  Higher levels are refused.  A
+level-2 tree is drawn straight from its child lists (``trees.to_tree``):
+node t has ``len(children[t - 1])`` prongs, and a negative entry is a leaf.
 """
 
 from __future__ import annotations
@@ -37,20 +39,22 @@ def render_ascii(x):
 
 
 def _ascii_tree(x):
-    # an explicit stack of (node or None for a free prong, line prefix),
-    # pushed right to left so that prongs pop left to right
+    # an explicit stack of (child-list entry, line prefix), pushed right to
+    # left so that prongs pop left to right; a negative entry is a leaf
+    children = to_tree(x)
     lines = []
-    stack = [(to_tree(x), "")]
+    stack = [(1, "")]
     while stack:
-        node, prefix = stack.pop()
-        if node is None:
+        t, prefix = stack.pop()
+        if t < 0:
             lines.append(prefix + "leaf")
             continue
-        lines.append("%snode%d(%d)" % (prefix, node.tag, node.arity))
+        entries = children[t - 1]
+        lines.append("%snode%d(%d)" % (prefix, t, len(entries)))
         child_prefix = prefix.replace("+-", "| ").replace("`-", "  ")
-        for p in range(node.arity, 0, -1):
-            branch = "`-" if p == node.arity else "+-"
-            stack.append((node.children[p - 1], child_prefix + branch))
+        for p in range(len(entries), 0, -1):
+            branch = "`-" if p == len(entries) else "+-"
+            stack.append((entries[p - 1], child_prefix + branch))
     return lines
 
 
@@ -81,22 +85,24 @@ def render_dot(x):
 def _dot_tree(x, prefix):
     # an explicit stack of nodes still to draw and lines still to emit; a
     # child's edge line is pushed under it, so it follows the child's subtree
+    children = to_tree(x)
     lines = []
-    stack = [to_tree(x)]
+    stack = [1]
     while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            lines.append(node)
+        t = stack.pop()
+        if isinstance(t, str):
+            lines.append(t)
             continue
-        name = "%s%d" % (prefix, node.tag)
-        lines.append('  %s [shape=triangle,label="%d"];' % (name, node.tag))
-        for p in range(node.arity, 0, -1):
-            child = node.children[p - 1]
-            if child is None:
-                leaf = "%s_l%d_%d" % (name, node.tag, p)
+        name = "%s%d" % (prefix, t)
+        lines.append('  %s [shape=triangle,label="%d"];' % (name, t))
+        entries = children[t - 1]
+        for p in range(len(entries), 0, -1):
+            c = entries[p - 1]
+            if c < 0:
+                leaf = "%s_l%d_%d" % (name, t, p)
                 stack.append('  %s -> %s [label="%d"];' % (name, leaf, p))
                 stack.append("  %s [shape=point];" % leaf)
             else:
-                stack.append('  %s -> %s%d [label="%d"];' % (name, prefix, child.tag, p))
-                stack.append(child)
+                stack.append('  %s -> %s%d [label="%d"];' % (name, prefix, c, p))
+                stack.append(c)
     return lines

@@ -116,26 +116,25 @@ def suite_oracle(seed, size):
     """compose against node substitution on child lists.
 
     An in-package cross-check (the independent oracle is in the test
-    suite): y's child lists replace node i of x and ``trees.walk`` reads
-    the tree back, to compare with the splice-and-sort composition.
+    suite): y's child lists replace node i of x and ``trees.from_tree``
+    reads the tree back, to compare with the splice-and-sort composition.
     """
-    from .trees import child_lists, splice, walk
+    from .trees import from_tree, splice, to_tree
 
     rep = SuiteReport("oracle")
     cfg = _SIZES[size]
     for x, i, y in _composable_pairs_level2(cfg["pairs_nodes"]):
-        children = child_lists(x)
-        factors = list(x.factors + y.factors)
+        children = to_tree(x)
         k = x.m
         # node t of y becomes node k + t, and its leaf n takes the entry at
         # prong n of node i
         children += [[k + c if c > 0 else children[i - 1][-c - 1] for c in entries]
-                     for entries in child_lists(y)]
+                     for entries in to_tree(y)]
         if i == 1:
-            children[0], factors[0] = children[k], factors[k]
+            children[0] = children[k]
         else:
             splice(children, i, [k + 1])
-        expected = walk(factors, children, total_G(x).arity)[0]
+        expected = from_tree(children)
         got, sh = compose(x, i, y)
         rep.check(got == expected,
                   lambda: "compose %s %d %s" % (format_element(x), i,

@@ -1,43 +1,27 @@
-"""Planar rooted tree view of level-2 elements, and the one walk back.
+"""Planar rooted trees of level-2 elements, held as child lists.
 
 A level-2 element is a planar tree: its factors are the internal nodes in
 preorder (root first, children left to right), and factor t+1 hangs off
 prong ``indices[t-1]`` of the partial tree built from the first t factors.
-Every tree edit (one-morphisms, unit plugs, ``from_tree``) rewrites
-``child_lists(x)`` and reads the result back with ``walk``, one iterative
-preorder pass.  The renderers draw the mutable ``TreeNode`` view.
+The tree's one in-memory form is ``to_tree(x)``: for each node, the entries
+at its prongs, a node number or a negative leaf.  Every tree edit
+(one-morphisms, unit plugs, the oracle suite) rewrites these lists and
+reads the result back with ``walk``, one iterative preorder pass; the
+renderers draw them as they are.
 """
 
 from __future__ import annotations
-
-from itertools import count
 
 from .elements import PlainElement, corolla, provenance
 from .errors import LevelMismatch
 
 
-class TreeNode:
-    """Mutable planar tree node; children[p] is None for a free prong."""
-
-    __slots__ = ("arity", "children", "tag")
-
-    def __init__(self, arity, tag=None):
-        self.arity = arity
-        self.children = [None] * arity
-        self.tag = tag
-
-    def preorder(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(c for c in reversed(node.children) if c is not None)
-
-
-def child_lists(x):
-    """Prong entries of a level-2 element: ``children[t - 1][p - 1]`` is the
+def to_tree(x):
+    """Child lists of a level-2 element: ``children[t - 1][p - 1]`` is the
     node at prong p of node t (nodes are factor positions), or -n when that
     prong is leaf n, slot n of the total."""
+    if x.level != 2:
+        raise LevelMismatch("tree view needs a level-2 element")
     parents, leaves = provenance(x)
     children = [[0] * f.arity for f in x.factors]
     for t, (s, r) in enumerate(parents, start=2):
@@ -82,21 +66,12 @@ def walk(factors, children, leaves):
     return PlainElement(2, factors=out, indices=indices), node_relabel, leaf_perm
 
 
-def to_tree(x):
-    """Planar tree of a level-2 element; nodes tagged with factor positions."""
-    if x.level != 2:
-        raise LevelMismatch("tree view needs a level-2 element")
-    nodes = [TreeNode(f.arity, t) for t, f in enumerate(x.factors, 1)]
-    for node, (parent, prong) in zip(nodes[1:], provenance(x)[0]):
-        nodes[parent - 1].children[prong - 1] = node
-    return nodes[0]
+def from_tree(children):
+    """Canonical level-2 element of child lists read from node 1.
 
-
-def from_tree(root):
-    """Canonical level-2 element of a planar tree (preorder factor order)."""
-    nodes = list(root.preorder())
-    number = {node: t for t, node in enumerate(nodes, start=1)}
-    leaf = count(1)
-    children = [[-next(leaf) if c is None else number[c] for c in node.children]
-                for node in nodes]
-    return walk([corolla(n.arity) for n in nodes], children, next(leaf) - 1)[0]
+    Node t has arity ``len(children[t - 1])``, 0 allowed; the leaves are
+    -1..-n for the largest leaf number n, and need not all be present.
+    """
+    factors = [corolla(len(entries), allow_zero=True) for entries in children]
+    leaves = max((-c for entries in children for c in entries), default=0)
+    return walk(factors, children, leaves)[0]

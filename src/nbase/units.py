@@ -21,7 +21,7 @@ from .elements import PlainElement, compose, corolla, embed, total_G
 from .enumeration import _enumerate, enumerate_elements
 from .errors import NotComposable, NotImplementedLevel, RangeViolation
 from .grammar import format_element
-from .trees import child_lists, splice, walk
+from .trees import from_tree, splice, to_tree
 
 
 def unit(y):
@@ -114,27 +114,21 @@ def r_compose(x, i, u):
     return RElement(plain=_delete_lozenge(xp, i))
 
 
-def _rebuild(x, children):
-    """Canonical element of x's edited child lists; arities are entry counts."""
-    factors = [corolla(len(c), allow_zero=True) for c in children]
-    return walk(factors, children, total_G(x).arity)[0]
-
-
 def _cap_prong(x, prong):
     """Execute a zero-plug at a free prong of the total: drop its leaf entry."""
-    children = child_lists(x)
+    children = to_tree(x)
     splice(children, -prong, [])
-    return _rebuild(x, children)
+    return from_tree(children)
 
 
 def _delete_lozenge(x, i):
     """Remove an arity-1 factor; its one entry takes its place."""
-    children = child_lists(x)
+    children = to_tree(x)
     if i == 1:
         children[0] = children[children[0][0] - 1]
     else:
         splice(children, i, children[i - 1])
-    return _rebuild(x, children)
+    return from_tree(children)
 
 
 def r_normalize(x):
@@ -153,12 +147,12 @@ def r_normalize(x):
         return ZERO if e.arity == 0 else RElement(plain=e)
     if e.level != 2:
         raise NotImplementedLevel("normalization of plugs is defined for level <= 2")
-    children = child_lists(e)
+    children = to_tree(e)
     for entries in reversed(children):
         entries[:] = [c for c in entries if c < 0 or children[c - 1]]
     if not children[0]:
         return ZERO
-    return RElement(plain=_rebuild(e, children))
+    return RElement(plain=from_tree(children))
 
 
 @dataclass(frozen=True)

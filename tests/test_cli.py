@@ -293,3 +293,37 @@ def test_readme_commands_under_python_O(argv):
     assert plain.returncode == 0 and plain.stdout and plain.stderr == ""
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
+
+
+def test_ord_eval_on_two_700_node_chains(capsys):
+    # the value is T+T with T nested 699 deep; adding the two terms
+    # compares them, which must not recurse once per nesting level
+    literal = "[%s|%s]" % (",".join(["2"] + ["1"] * 1400),
+                           ",".join(["1"] * 700 + ["2"] * 700))
+    term = "w^(" * 699 + "w" + ")" * 699
+    code, out, err = run(capsys, "ord", "eval", literal)
+    assert code == 0 and err == ""
+    assert out == term + "+" + term + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["shuffle", "--pretty", "[2,2|2]", "1", "[2,1|2]"],
+    ["normalize", "--pretty", "[2,2,2|2,1]"],
+    ["fg", "--pretty", "[3,2|1]"],
+    ["head", "--pretty", "[3,2,4,3|1,4,5]"],
+    ["render", "--pretty", "[2,2|1]"],
+    ["render", "--json", "[2,2|1]"],
+])
+def test_ignored_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: nbase %s" % argv[0])
+    assert "unrecognized arguments: %s" % argv[1] in err
+
+
+def test_compose_pretty_appends_the_drawing(capsys):
+    code, out, err = run(capsys, "compose", "--pretty", "[2,2|1]", "2", "[2|]")
+    assert code == 0 and err == ""
+    assert out == "[2,2|1]\nnode1(2)\n+-node2(2)\n| +-leaf\n| `-leaf\n`-leaf\n"
