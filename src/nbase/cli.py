@@ -11,33 +11,9 @@ import json
 import os
 import sys
 
-from . import ordinals
-from .elements import (
-    arity_m,
-    compose,
-    decompose_head,
-    normalize,
-    slots_F,
-    total_G,
-)
-from .enumeration import count_binary, enumerate_elements
+from .elements import arity_m, compose, decompose_head, normalize, slots_F, total_G
 from .errors import NBaseError
 from .grammar import element_to_json, format_element, parse_element
-from .morphisms import (
-    apply_one,
-    apply_two,
-    complete_square,
-    identity_two,
-    induced_two_on_composition,
-)
-from .presentations import (
-    symmetric_presentation,
-    todd_coxeter,
-    tree_presentation,
-    verify_symmetric_realization,
-)
-from .render import render
-from .selftest import SUITES, run_suite
 
 
 def _positive_int(text):
@@ -88,128 +64,8 @@ class _LeafParser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="nbase", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=_LeafParser)
-
-    def with_level(sp, as_json=True, pretty=False):
-        sp.add_argument("--level", type=int, default=None,
-                        help="element level (inferred from nesting if omitted)")
-        if as_json:
-            sp.add_argument("--json", action="store_true", help="JSON output")
-        if pretty:
-            sp.add_argument("--pretty", action="store_true",
-                            help="append a drawing (levels <= 3)")
-
-    sp = sub.add_parser("validate", help="check an element literal")
-    with_level(sp, pretty=True)
-    sp.add_argument("literal")
-
-    sp = sub.add_parser("compose", help="substitute y into slot i of x")
-    with_level(sp, pretty=True)
-    sp.add_argument("x")
-    sp.add_argument("i", type=int)
-    sp.add_argument("y")
-
-    sp = sub.add_parser("shuffle", help="position maps of a composition")
-    with_level(sp)
-    sp.add_argument("x")
-    sp.add_argument("i", type=int)
-    sp.add_argument("y")
-
-    sp = sub.add_parser("normalize", help="sort a raw application sequence")
-    with_level(sp)
-    sp.add_argument("literal")
-
-    sp = sub.add_parser("fg", help="print m, the slot sequence, and the total")
-    with_level(sp)
-    sp.add_argument("literal")
-
-    sp = sub.add_parser("head", help="head decomposition")
-    with_level(sp)
-    sp.add_argument("literal")
-
-    sp = sub.add_parser("ord", help="ordinal operations")
-    osub = sp.add_subparsers(dest="ord_command", required=True)
-    oe = osub.add_parser("eval")
-    oe.add_argument("--level", type=int, default=None)
-    oe.add_argument("literal")
-    oc = osub.add_parser("encode")
-    oc.add_argument("--level", type=int, required=True)
-    oc.add_argument("ordinal")
-    om = osub.add_parser("cmp")
-    om.add_argument("a")
-    om.add_argument("b")
-    oa = osub.add_parser("add")
-    oa.add_argument("a")
-    oa.add_argument("b")
-
-    sp = sub.add_parser("group", help="presentations and coset enumeration")
-    gsub = sp.add_subparsers(dest="group_command", required=True)
-    for name in ("present", "order", "verify"):
-        gp = gsub.add_parser(name)
-        source = gp
-        if name != "verify":
-            source = gp.add_mutually_exclusive_group(required=True)
-            source.add_argument("--sym", type=int, default=None,
-                                help="symmetric presentation on n letters")
-        source.add_argument("--tree", default=None, required=name == "verify",
-                            help="binary level-2 element literal")
-        if name == "present":
-            gp.add_argument("--gap", action="store_true",
-                            help="print relators as plain words")
-        else:
-            gp.add_argument("--max-cosets", type=_positive_int,
-                            default=100_000,
-                            help="cap on live cosets (default 100000, enough "
-                                 "for every tree up to 8 nodes); verify takes "
-                                 "the generated order from Schreier-Sims, "
-                                 "which needs no cap")
-
-    sp = sub.add_parser("enum", help="enumerate elements within bounds")
-    sp.add_argument("--level", type=int, required=True)
-    sp.add_argument("--max-factors", type=int, default=3)
-    sp.add_argument("--max-arity", type=int, default=3)
-    sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--binary", type=int, default=None, metavar="K",
-                    help="count binary elements with K factors instead")
-
-    sp = sub.add_parser("mor", help="level-2 morphism operations")
-    msub = sp.add_subparsers(dest="mor_command", required=True)
-    m1 = msub.add_parser("apply1")
-    m1.add_argument("literal")
-    perms = _json_arg("node_perms")
-    sigma = _json_arg("sigma")
-    m1.add_argument("perms", type=perms,
-                    help='JSON like {"node_perms": [[2,1],[1,2]]}')
-    m2 = msub.add_parser("apply2")
-    m2.add_argument("literal")
-    m2.add_argument("sigma", type=sigma, help='JSON like {"sigma": [2,1]}')
-    mq = msub.add_parser("square")
-    mq.add_argument("literal")
-    mq.add_argument("perms", type=perms)
-    mq.add_argument("sigma", type=sigma)
-    mi = msub.add_parser("induce")
-    mi.add_argument("x")
-    mi.add_argument("i", type=int)
-    mi.add_argument("y")
-    mi.add_argument("--sigma-f", type=sigma, default=None)
-    mi.add_argument("--sigma-g", type=sigma, default=None)
-
-    sp = sub.add_parser("render", help="draw an element")
-    with_level(sp, as_json=False)
-    sp.add_argument("literal")
-    sp.add_argument("--format", choices=("ascii", "dot"), default="ascii")
-
-    sp = sub.add_parser("selftest", help="run a property battery")
-    sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--size", choices=("small", "medium"), default="small")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="run independent suites in parallel (all only)")
-    return p
-
+# -- handlers: each takes the parsed arguments, prints its result and
+# returns the exit code (None for 0); each imports the modules it needs
 
 def _emit_element(x, args):
     if args.json:
@@ -217,6 +73,7 @@ def _emit_element(x, args):
     else:
         print(format_element(x))
     if args.pretty and x.level <= 3:
+        from .render import render
         print(render(x, "ascii"))
 
 
@@ -226,121 +83,201 @@ def _shuffle_json(sh):
             "psi": {str(k): v for k, v in sorted(sh.psi.items())}}
 
 
-def main(argv=None):
-    args = _parser().parse_args(argv)
-    try:
-        return _dispatch(args)
-    except NBaseError as exc:
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
+def _validate(args):
+    _emit_element(parse_element(args.literal, level=args.level), args)
 
 
-def _dispatch(args):
-    cmd = args.command
+def _parse_and_compose(args):
+    x = parse_element(args.x, level=args.level)
+    y = parse_element(args.y, level=args.level)
+    return compose(x, args.i, y)
 
-    if cmd == "validate":
-        x = parse_element(args.literal, level=args.level)
-        _emit_element(x, args)
-        return 0
 
-    if cmd in ("compose", "shuffle"):
-        x = parse_element(args.x, level=args.level)
-        y = parse_element(args.y, level=args.level)
-        result, sh = compose(x, args.i, y)
-        if cmd == "compose":
-            if args.json:
-                print(json.dumps({"result": element_to_json(result),
-                                  "shuffle": _shuffle_json(sh)}))
-            else:
-                _emit_element(result, args)
-        else:
-            if args.json:
-                print(json.dumps(_shuffle_json(sh)))
-            else:
-                print("phi " + " ".join("%d->%d" % kv for kv in sorted(sh.phi.items())))
-                print("psi " + " ".join("%d->%d" % kv for kv in sorted(sh.psi.items())))
-        return 0
+def _compose(args):
+    result, sh = _parse_and_compose(args)
+    if args.json:
+        print(json.dumps({"result": element_to_json(result),
+                          "shuffle": _shuffle_json(sh)}))
+    else:
+        _emit_element(result, args)
 
-    if cmd == "normalize":
-        g = parse_element(args.literal, level=args.level, raw=True)
-        e, perm = normalize(g)
-        if args.json:
-            print(json.dumps({"element": element_to_json(e), "positions": list(perm)}))
-        else:
+
+def _shuffle(args):
+    sh = _parse_and_compose(args)[1]
+    if args.json:
+        print(json.dumps(_shuffle_json(sh)))
+    else:
+        print("phi " + " ".join("%d->%d" % kv for kv in sorted(sh.phi.items())))
+        print("psi " + " ".join("%d->%d" % kv for kv in sorted(sh.psi.items())))
+
+
+def _normalize(args):
+    e, perm = normalize(parse_element(args.literal, level=args.level, raw=True))
+    if args.json:
+        print(json.dumps({"element": element_to_json(e), "positions": list(perm)}))
+    else:
+        print(format_element(e))
+        print("positions " + " ".join("%d->%d" % (i + 1, p)
+                                      for i, p in enumerate(perm)))
+
+
+def _fg(args):
+    x = parse_element(args.literal, level=args.level)
+    if args.json:
+        print(json.dumps({"m": arity_m(x),
+                          "F": [format_element(f) for f in slots_F(x)],
+                          "G": format_element(total_G(x))}))
+    else:
+        print("m %d" % arity_m(x))
+        print("F " + " ".join(format_element(f) for f in slots_F(x)))
+        print("G " + format_element(total_G(x)))
+
+
+def _head(args):
+    hf = decompose_head(parse_element(args.literal, level=args.level))
+    if args.json:
+        print(json.dumps({
+            "head": format_element(hf.head),
+            "attachments": [{"slot": a.slot,
+                             "element": format_element(a.element)}
+                            for a in hf.attachments]}))
+    else:
+        print("head " + format_element(hf.head))
+        for a in hf.attachments:
+            print("slot %d %s" % (a.slot, format_element(a.element)))
+
+
+def _ord_eval(args):
+    from .ordinals import eval_phin, format_ordinal
+    x = parse_element(args.literal, level=args.level)
+    print(format_ordinal(eval_phin(x)))
+
+
+def _ord_encode(args):
+    from .ordinals import encode, parse_ordinal
+    print(format_element(encode(parse_ordinal(args.ordinal), args.level)))
+
+
+def _ord_cmp(args):
+    from .ordinals import cmp, parse_ordinal
+    c = cmp(parse_ordinal(args.a), parse_ordinal(args.b))
+    print({-1: "LT", 0: "EQ", 1: "GT"}[c])
+
+
+def _ord_add(args):
+    from .ordinals import add, format_ordinal, parse_ordinal
+    print(format_ordinal(add(parse_ordinal(args.a), parse_ordinal(args.b))))
+
+
+def _group_presentation(args):
+    from .presentations import symmetric_presentation, tree_presentation
+    if args.sym is not None:
+        return symmetric_presentation(args.sym)
+    return tree_presentation(parse_element(args.tree, level=2))[0]
+
+
+def _group_present(args):
+    pres = _group_presentation(args)
+    if args.gap:
+        for w in pres.gap_words():
+            print(w)
+    else:
+        print(pres)
+
+
+def _group_order(args):
+    from .presentations import todd_coxeter
+    ct = todd_coxeter(_group_presentation(args), max_cosets=args.max_cosets)
+    print(ct.order if ct.complete else "incomplete")
+
+
+def _group_verify(args):
+    from .presentations import verify_symmetric_realization
+    x = parse_element(args.tree, level=2)
+    rep = verify_symmetric_realization(x, max_cosets=args.max_cosets)
+    print("nodes %d edges %d relators %s generated %d enumerated %d iso %s"
+          % (rep.nodes, rep.edges, rep.relators_hold, rep.generated_order,
+             rep.enumerated_order, rep.isomorphic))
+    return 0 if rep.isomorphic else 1
+
+
+def _enum(args):
+    from .enumeration import count_binary, enumerate_elements
+    if args.binary is not None:
+        print(count_binary(args.binary))
+        return
+    elems = enumerate_elements(args.level, args.max_factors, args.max_arity)
+    if args.count_only:
+        print(len(elems))
+    else:
+        for e in elems:
             print(format_element(e))
-            print("positions " + " ".join("%d->%d" % (i + 1, p)
-                                          for i, p in enumerate(perm)))
-        return 0
 
-    if cmd == "fg":
-        x = parse_element(args.literal, level=args.level)
-        if args.json:
-            print(json.dumps({"m": arity_m(x),
-                              "F": [format_element(f) for f in slots_F(x)],
-                              "G": format_element(total_G(x))}))
-        else:
-            print("m %d" % arity_m(x))
-            print("F " + " ".join(format_element(f) for f in slots_F(x)))
-            print("G " + format_element(total_G(x)))
-        return 0
 
-    if cmd == "head":
-        x = parse_element(args.literal, level=args.level)
-        hf = decompose_head(x)
-        if args.json:
-            print(json.dumps({
-                "head": format_element(hf.head),
-                "attachments": [{"slot": a.slot,
-                                 "element": format_element(a.element)}
-                                for a in hf.attachments]}))
-        else:
-            print("head " + format_element(hf.head))
-            for a in hf.attachments:
-                print("slot %d %s" % (a.slot, format_element(a.element)))
-        return 0
+def _mor_apply1(args):
+    from .morphisms import apply_one
+    f = apply_one(parse_element(args.literal, level=2), args.perms)
+    print(json.dumps({"target": format_element(f.target),
+                      "leaf_perm": list(f.leaf_perm),
+                      "node_relabel": list(f.node_relabel)}))
 
-    if cmd == "ord":
-        return _dispatch_ord(args)
-    if cmd == "group":
-        return _dispatch_group(args)
 
-    if cmd == "enum":
-        if args.binary is not None:
-            print(count_binary(args.binary))
-            return 0
-        elems = enumerate_elements(args.level, args.max_factors, args.max_arity)
-        if args.count_only:
-            print(len(elems))
-        else:
-            for e in elems:
-                print(format_element(e))
-        return 0
+def _mor_apply2(args):
+    from .morphisms import apply_two
+    mor = apply_two(parse_element(args.literal, level=2), args.sigma)
+    if mor is None:
+        print(json.dumps({"morphism": None}))
+    else:
+        print(json.dumps({"target": format_element(mor.target),
+                          "sigma": list(mor.sigma)}))
 
-    if cmd == "mor":
-        return _dispatch_mor(args)
 
-    if cmd == "render":
-        x = parse_element(args.literal, level=args.level)
-        print(render(x, args.format))
-        return 0
+def _mor_square(args):
+    from .morphisms import apply_one, apply_two, complete_square
+    x = parse_element(args.literal, level=2)
+    f = apply_one(x, args.perms)
+    g = apply_two(x, args.sigma)
+    if g is None:
+        print(json.dumps({"square": None}))
+        return 1
+    sq = complete_square(f, g)
+    print(json.dumps({"opposite": format_element(sq.opposite),
+                      "commutes": sq.commutes()}))
 
-    if cmd == "selftest":
-        names = sorted(SUITES) if args.suite == "all" else [args.suite]
-        failed = 0
-        workers = _worker_count(args.jobs, len(names))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_run_one, [(n, args.seed, args.size)
-                                                   for n in names]))
-        else:
-            reports = [run_suite(n, args.seed, args.size) for n in names]
-        for rep in reports:
-            print(rep.summary())
-            failed += rep.failed
-        return 0 if failed == 0 else 1
 
-    raise AssertionError("unhandled command %r" % cmd)
+def _mor_induce(args):
+    from .morphisms import apply_two, identity_two, induced_two_on_composition
+    x = parse_element(args.x, level=2)
+    y = parse_element(args.y, level=2)
+    f = apply_two(x, args.sigma_f) if args.sigma_f is not None \
+        else identity_two(x)
+    g = apply_two(y, args.sigma_g) if args.sigma_g is not None \
+        else identity_two(y)
+    h = induced_two_on_composition(x, args.i, y, f, g)
+    print(json.dumps({"source": format_element(h.source),
+                      "target": format_element(h.target),
+                      "sigma": list(h.sigma)}))
+
+
+def _render(args):
+    from .render import render
+    print(render(parse_element(args.literal, level=args.level), args.format))
+
+
+def _selftest(args):
+    from .selftest import SUITES
+    jobs = [(name, args.seed, args.size)
+            for name in (sorted(SUITES) if args.suite == "all" else [args.suite])]
+    workers = _worker_count(args.jobs, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_run_one, jobs))
+    else:
+        reports = list(map(_run_one, jobs))
+    for rep in reports:
+        print(rep.summary())
+    return 0 if sum(rep.failed for rep in reports) == 0 else 1
 
 
 def _worker_count(jobs, suites):
@@ -349,104 +286,130 @@ def _worker_count(jobs, suites):
 
 
 def _run_one(job):
-    name, seed, size = job
-    return run_suite(name, seed, size)
+    from .selftest import run_suite
+    return run_suite(*job)
 
 
-def _dispatch_ord(args):
-    if args.ord_command == "eval":
-        x = parse_element(args.literal, level=args.level)
-        print(ordinals.format_ordinal(ordinals.eval_phin(x)))
-        return 0
-    if args.ord_command == "encode":
-        beta = ordinals.parse_ordinal(args.ordinal)
-        z = ordinals.encode(beta, args.level)
-        print(format_element(z))
-        return 0
-    if args.ord_command == "cmp":
-        c = ordinals.cmp(ordinals.parse_ordinal(args.a), ordinals.parse_ordinal(args.b))
-        print({-1: "LT", 0: "EQ", 1: "GT"}[c])
-        return 0
-    if args.ord_command == "add":
-        s = ordinals.add(ordinals.parse_ordinal(args.a), ordinals.parse_ordinal(args.b))
-        print(ordinals.format_ordinal(s))
-        return 0
-    raise AssertionError
+# -- the subcommand table --------------------------------------------------
+
+def _arg(name, **kw):
+    return name, kw
 
 
-def _group_presentation(args):
-    if args.sym is not None:
-        return symmetric_presentation(args.sym), None
-    x = parse_element(args.tree, level=2)
-    pres, es = tree_presentation(x)
-    return pres, es
+def _selftest_arguments():
+    from .selftest import SUITES
+    return (_arg("suite", choices=sorted(SUITES) + ["all"]),
+            _arg("--seed", type=int, default=0),
+            _arg("--size", choices=("small", "medium"), default="small"),
+            _arg("--jobs", type=int, default=1,
+                 help="run independent suites in parallel (all only)"))
 
 
-def _dispatch_group(args):
-    if args.group_command == "present":
-        pres, _es = _group_presentation(args)
-        if args.gap:
-            for w in pres.gap_words():
-                print(w)
+# the options a row takes by name, before its own arguments
+_FLAGS = {
+    "--level": dict(type=int, default=None,
+                    help="element level (inferred from nesting if omitted)"),
+    "--json": dict(action="store_true", help="JSON output"),
+    "--pretty": dict(action="store_true", help="append a drawing (levels <= 3)"),
+}
+_ELEMENT = ("--level", "--json")
+_LITERAL = (_arg("literal"),)
+_XIY = (_arg("x"), _arg("i", type=int), _arg("y"))
+_PERMS = _json_arg("node_perms")
+_SIGMA = _json_arg("sigma")
+_TREE = "binary level-2 element literal"
+_SYM_OR_TREE = (  # a tuple of arguments: exactly one of them is required
+    _arg("--sym", type=int, default=None, help="symmetric presentation on n letters"),
+    _arg("--tree", default=None, help=_TREE))
+_MAX_COSETS = _arg("--max-cosets", type=_positive_int, default=100_000,
+                   help="cap on live cosets (default 100000, enough for every "
+                        "tree up to 8 nodes); verify takes the generated order "
+                        "from Schreier-Sims, which needs no cap")
+
+# A row is (name, help, flags, arguments, handler).  The arguments are
+# (name, add_argument keywords) pairs, or a function that returns them; the
+# handler of a row with subcommands is the tuple of their rows.
+_COMMANDS = (
+    ("validate", "check an element literal", _ELEMENT + ("--pretty",),
+     _LITERAL, _validate),
+    ("compose", "substitute y into slot i of x", _ELEMENT + ("--pretty",),
+     _XIY, _compose),
+    ("shuffle", "position maps of a composition", _ELEMENT, _XIY, _shuffle),
+    ("normalize", "sort a raw application sequence", _ELEMENT, _LITERAL,
+     _normalize),
+    ("fg", "print m, the slot sequence, and the total", _ELEMENT, _LITERAL, _fg),
+    ("head", "head decomposition", _ELEMENT, _LITERAL, _head),
+    ("ord", "ordinal operations", (), (), (
+        ("eval", None, (), (_arg("--level", type=int, default=None),) + _LITERAL,
+         _ord_eval),
+        ("encode", None, (), (_arg("--level", type=int, required=True),
+                              _arg("ordinal")), _ord_encode),
+        ("cmp", None, (), (_arg("a"), _arg("b")), _ord_cmp),
+        ("add", None, (), (_arg("a"), _arg("b")), _ord_add))),
+    ("group", "presentations and coset enumeration", (), (), (
+        ("present", None, (), (_SYM_OR_TREE, _arg(
+            "--gap", action="store_true", help="print relators as plain words")),
+         _group_present),
+        ("order", None, (), (_SYM_OR_TREE, _MAX_COSETS), _group_order),
+        ("verify", None, (), (_arg("--tree", default=None, required=True,
+                                    help=_TREE), _MAX_COSETS), _group_verify))),
+    ("enum", "enumerate elements within bounds", (), (
+        _arg("--level", type=int, required=True),
+        _arg("--max-factors", type=int, default=3),
+        _arg("--max-arity", type=int, default=3),
+        _arg("--count-only", action="store_true"),
+        _arg("--binary", type=int, default=None, metavar="K",
+             help="count binary elements with K factors instead")), _enum),
+    ("mor", "level-2 morphism operations", (), (), (
+        ("apply1", None, (), _LITERAL + (_arg(
+            "perms", type=_PERMS, help='JSON like {"node_perms": [[2,1],[1,2]]}'),),
+         _mor_apply1),
+        ("apply2", None, (), _LITERAL + (_arg(
+            "sigma", type=_SIGMA, help='JSON like {"sigma": [2,1]}'),), _mor_apply2),
+        ("square", None, (), _LITERAL + (_arg("perms", type=_PERMS),
+                                         _arg("sigma", type=_SIGMA)), _mor_square),
+        ("induce", None, (), _XIY + (_arg("--sigma-f", type=_SIGMA, default=None),
+                                     _arg("--sigma-g", type=_SIGMA, default=None)),
+         _mor_induce))),
+    ("render", "draw an element", ("--level",), _LITERAL + (
+        _arg("--format", choices=("ascii", "dot"), default="ascii"),), _render),
+    ("selftest", "run a property battery", (), _selftest_arguments, _selftest),
+)
+
+
+def _add_rows(parser, dest, rows, argv):
+    """Give parser one subcommand per row.  When argv[0] names a row, only
+    that row is built (and so on down its subcommands); otherwise, as for
+    -h or a usage error, every row is, so help and errors list them all."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_LeafParser)
+    for name, help_, flags, arguments, handler in (
+            [row for row in rows if argv and row[0] == argv[0]] or rows):
+        sp = sub.add_parser(name, **({"help": help_} if help_ else {}))
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        for arg in arguments() if callable(arguments) else arguments:
+            if isinstance(arg[0], str):
+                sp.add_argument(arg[0], **arg[1])
+            else:
+                group = sp.add_mutually_exclusive_group(required=True)
+                for option, kw in arg:
+                    group.add_argument(option, **kw)
+        if isinstance(handler, tuple):
+            _add_rows(sp, name + "_command", handler, argv[1:])
         else:
-            print(pres)
-        return 0
-    if args.group_command == "order":
-        pres, _es = _group_presentation(args)
-        ct = todd_coxeter(pres, max_cosets=args.max_cosets)
-        print(ct.order if ct.complete else "incomplete")
-        return 0
-    if args.group_command == "verify":
-        x = parse_element(args.tree, level=2)
-        rep = verify_symmetric_realization(x, max_cosets=args.max_cosets)
-        print("nodes %d edges %d relators %s generated %d enumerated %d iso %s"
-              % (rep.nodes, rep.edges, rep.relators_hold, rep.generated_order,
-                 rep.enumerated_order, rep.isomorphic))
-        return 0 if rep.isomorphic else 1
-    raise AssertionError
+            sp.set_defaults(handler=handler)
 
 
-def _dispatch_mor(args):
-    if args.mor_command == "apply1":
-        x = parse_element(args.literal, level=2)
-        f = apply_one(x, args.perms)
-        print(json.dumps({"target": format_element(f.target),
-                          "leaf_perm": list(f.leaf_perm),
-                          "node_relabel": list(f.node_relabel)}))
-        return 0
-    if args.mor_command == "apply2":
-        x = parse_element(args.literal, level=2)
-        mor = apply_two(x, args.sigma)
-        if mor is None:
-            print(json.dumps({"morphism": None}))
-        else:
-            print(json.dumps({"target": format_element(mor.target),
-                              "sigma": list(mor.sigma)}))
-        return 0
-    if args.mor_command == "square":
-        x = parse_element(args.literal, level=2)
-        f = apply_one(x, args.perms)
-        g = apply_two(x, args.sigma)
-        if g is None:
-            print(json.dumps({"square": None}))
-            return 1
-        sq = complete_square(f, g)
-        print(json.dumps({"opposite": format_element(sq.opposite),
-                          "commutes": sq.commutes()}))
-        return 0
-    if args.mor_command == "induce":
-        x = parse_element(args.x, level=2)
-        y = parse_element(args.y, level=2)
-        f = apply_two(x, args.sigma_f) if args.sigma_f is not None \
-            else identity_two(x)
-        g = apply_two(y, args.sigma_g) if args.sigma_g is not None \
-            else identity_two(y)
-        h = induced_two_on_composition(x, args.i, y, f, g)
-        print(json.dumps({"source": format_element(h.source),
-                          "target": format_element(h.target),
-                          "sigma": list(h.sigma)}))
-        return 0
-    raise AssertionError
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = argparse.ArgumentParser(prog="nbase", description=__doc__)
+    _add_rows(parser, "command", _COMMANDS, argv)
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args) or 0
+    except NBaseError as exc:
+        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import index
+from typing import NamedTuple
 
 from .errors import (
     InvalidSequence,
@@ -39,7 +39,11 @@ from .errors import (
     NotComposable,
     OrderViolation,
     RangeViolation,
+    SizeBound,
 )
+
+# the checking constructor raises SizeBound for a level-1 arity above this
+MAX_ARITY = 100_000
 
 
 class PlainElement:
@@ -60,6 +64,8 @@ class PlainElement:
             if level == 1 and (not isinstance(arity, int)
                                or arity < (0 if allow_zero else 1)):
                 raise RangeViolation("level-1 arity must be a positive integer, got %r" % (arity,))
+            if level == 1 and arity > MAX_ARITY:
+                raise SizeBound("level-1 arity is bounded by %d, got %d" % (MAX_ARITY, arity))
             key = (1, arity) if level else (0,)
             self = _corollas.get(key)
             if self is None:
@@ -165,8 +171,7 @@ def make(level, factors, indices):
     return PlainElement(level, factors=factors, indices=indices)
 
 
-@dataclass(frozen=True)
-class ShuffleMap:
+class ShuffleMap(NamedTuple):
     """Position maps of a composition at slot i.
 
     phi maps the surviving x-factor positions {1..m_x} minus {i}, psi maps
@@ -202,8 +207,7 @@ class ShuffleMap:
         return True
 
 
-@dataclass(frozen=True)
-class GammaSequence:
+class GammaSequence(NamedTuple):
     """A raw application sequence: like an element but with unsorted indices."""
     level: int
     factors: tuple
@@ -212,6 +216,10 @@ class GammaSequence:
     def validate(self):
         if self.level < 2:
             raise LevelMismatch("raw sequences live at level >= 2")
+        if len(self.indices) != len(self.factors) - 1:
+            raise InvalidSequence(
+                "expected %d graft indices for %d factors, got %d"
+                % (len(self.factors) - 1, len(self.factors), len(self.indices)))
         try:
             _check_sequence(self.factors, self.indices)
         except (RangeViolation, MatchViolation) as exc:
@@ -512,8 +520,7 @@ def shuffle(x, i, y):
     return compose(x, i, y)[1]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Result of an axiom check; falsy when the two sides disagree."""
     ok: bool
     lhs: object
@@ -563,8 +570,7 @@ def embed(y):
     return PlainElement(y.level + 1, factors=(y,), indices=())
 
 
-@dataclass(frozen=True)
-class GraftResult:
+class GraftResult(NamedTuple):
     element: "PlainElement"
     factor_phi: dict   # u-factor position -> position in result
     factor_psi: dict   # v-factor position -> position in result
@@ -600,15 +606,13 @@ def graft_at_slot(u, slot, v):
     return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     slot: int              # slot of the head that the subtree subdivides
     element: "PlainElement"
     positions: tuple       # factor positions in z, in local order
 
 
-@dataclass(frozen=True)
-class HeadForm:
+class HeadForm(NamedTuple):
     head: "PlainElement"
     attachments: tuple
 

@@ -8,7 +8,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, factorial, prod
 
 from .elements import POINT, PlainElement, _execute, corolla, slots_F, total_G
@@ -25,6 +25,9 @@ def enumerate_elements(level, max_factors, max_arity):
 def _graft_sequences(pool, max_factors):
     """Every canonical graft sequence over pool with at most max_factors
     factors, depth first: yields (factors, indices, partial composite)."""
+    by_total = {}  # total -> the pool members with that total, in pool order
+    for g in pool:
+        by_total.setdefault(total_G(g), []).append(g)
     stack = [([head], [], head) for head in reversed(pool)]
     while stack:
         factors, indices, partial = stack.pop()
@@ -33,25 +36,34 @@ def _graft_sequences(pool, max_factors):
             continue
         children = []
         for idx in range(indices[-1] if indices else 1, partial.m + 1):
-            content = slots_F(partial)[idx - 1]
-            for g in pool:
-                if total_G(g) == content:
-                    children.append((factors + [g], indices + [idx],
-                                     _execute(partial, idx, g)))
+            for g in by_total.get(slots_F(partial)[idx - 1], ()):
+                children.append((factors + [g], indices + [idx],
+                                 _execute(partial, idx, g)))
         stack.extend(reversed(children))
+
+
+# _enumerate raises SizeBound once one level yields more elements than this
+MAX_ELEMENTS = 250_000
 
 
 @lru_cache(maxsize=None)
 def _enumerate(level, max_factors, max_arity, min_arity=1):
     """Elements in generation order; min_arity 0 admits the arity-0 corolla."""
+    if level < 0:
+        raise LevelMismatch("enumeration needs level >= 0, got %d" % level)
     if level == 0:
         return (POINT,)
     if level == 1:
         return tuple(corolla(a, allow_zero=True)
                      for a in range(min_arity, max_arity + 1))
     pool = _enumerate(level - 1, max_factors, max_arity, min_arity)
-    return tuple(PlainElement(level, factors=factors, indices=indices)
-                 for factors, indices, _ in _graft_sequences(pool, max_factors))
+    sequences = islice(_graft_sequences(pool, max_factors), MAX_ELEMENTS + 1)
+    found = tuple(PlainElement(level, factors=factors, indices=indices)
+                  for factors, indices, _ in sequences)
+    if len(found) > MAX_ELEMENTS:
+        raise SizeBound("enumeration is bounded by %d elements per level"
+                        % MAX_ELEMENTS)
+    return found
 
 
 # count_binary sums a k x k table; above this k it raises SizeBound

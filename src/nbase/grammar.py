@@ -127,6 +127,8 @@ def parse_element(text, level=None, allow_zero=False, raw=False):
     if level < depth:
         raise LevelMismatch(
             "literal has nesting depth %d, deeper than level %d" % (depth, level))
+    if raw and level < 2:
+        raise LevelMismatch("raw sequences live at level >= 2")
     return _build(tree, level, allow_zero, raw=raw)
 
 

@@ -8,8 +8,6 @@ split and graft recursively built pieces.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .elements import (
     GammaSequence,
     HeadForm,
@@ -39,7 +37,7 @@ def factorize(w, rng):
         att = rng.choice(hf.attachments)
         # the unit on att's total takes the position of att's first factor,
         # so composing att back in there gives w
-        stub = replace(att, element=embed(total_G(att.element)))
+        stub = att._replace(element=embed(total_G(att.element)))
         a = HeadForm(hf.head, tuple(stub if other is att else other
                                     for other in hf.attachments)).recompose()
         return a, att.positions[0], att.element

@@ -327,3 +327,29 @@ def test_compose_pretty_appends_the_drawing(capsys):
     code, out, err = run(capsys, "compose", "--pretty", "[2,2|1]", "2", "[2|]")
     assert code == 0 and err == ""
     assert out == "[2,2|1]\nnode1(2)\n+-node2(2)\n| +-leaf\n| `-leaf\n`-leaf\n"
+
+
+def test_enum_negative_level_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "enum", "--level", "-1", "--count-only")
+    assert code == 1 and out == ""
+    assert err.startswith("LevelMismatch: ") and err.count("\n") == 1
+
+
+def test_fg_level1_arity_bound(capsys):
+    code, out, err = run(capsys, "fg", "100000")
+    assert code == 0 and err == "" and out.startswith("m 100000\nF * * ")
+    code, out, err = run(capsys, "fg", "10000000")
+    assert code == 1 and out == ""
+    assert err.startswith("SizeBound: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["normalize", "1"], "LevelMismatch"),
+    (["normalize", "--level", "0", "*"], "LevelMismatch"),
+    (["normalize", "[1,1,11,1]"], "InvalidSequence"),
+    (["normalize", "[2,2,2|2]"], "InvalidSequence"),
+])
+def test_normalize_rejects_what_is_not_a_raw_sequence(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(error + ": ") and err.count("\n") == 1

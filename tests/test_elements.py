@@ -468,3 +468,39 @@ def test_structural_equality_and_hash():
     b = parse_element("[ 2 , 2 | 1 ]")
     assert a == b and hash(a) == hash(b)
     assert a != pe("[2,2|2]")
+
+
+def test_records_keep_their_repr_equality_and_immutability():
+    from nbase.elements import MAX_ARITY, Witness
+    from nbase.errors import SizeBound
+
+    x = pe("[3,2,4,3|1,4,5]")
+    sh = compose(x, 3, pe("[3,2|2]"))[1]
+    hf = decompose_head(x)
+    g = graft_at_slot(pe("[2|]"), 1, pe("[2,1|1]"))
+    assert repr(sh) == ("ShuffleMap(i=3, m_x=4, m_y=2, phi={1: 1, 2: 2, 4: 5}, "
+                        "psi={1: 3, 2: 4})")
+    assert repr(hf) == (
+        "HeadForm(head=<1:3>, attachments=(Attachment(slot=1, element=<2:[2|]>, "
+        "positions=(2,)), Attachment(slot=3, element=<2:[4,3|2]>, "
+        "positions=(3, 4))))")
+    assert repr(g) == ("GraftResult(element=<2:[2,2,1|1,1]>, factor_phi={1: 1}, "
+                       "factor_psi={1: 2, 2: 3}, slot_phi={2: 3}, "
+                       "slot_psi={1: 1, 2: 2})")
+    raw = parse_element("[2,2,2|2,1]", raw=True)
+    assert repr(raw) == ("GammaSequence(level=2, factors=(<1:2>, <1:2>, <1:2>), "
+                         "indices=(2, 1))")
+    assert sh == compose(x, 3, pe("[3,2|2]"))[1] and hf == decompose_head(x)
+    assert hf != decompose_head(pe("[3,2,4,3|1,4,4]"))
+    assert not Witness(False, x, x) and Witness(True, x, sh)
+    assert repr(Witness(True, x, x)) == ("Witness(ok=True, lhs=<2:[3,2,4,3|1,4,5]>, "
+                                         "rhs=<2:[3,2,4,3|1,4,5]>)")
+    for record in (sh, hf, hf.attachments[0], g, raw, Witness(True, x, x)):
+        with pytest.raises(AttributeError):
+            setattr(record, type(record)._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    # the checking constructor bounds the level-1 arity
+    assert corolla(MAX_ARITY).arity == MAX_ARITY
+    with pytest.raises(SizeBound):
+        corolla(MAX_ARITY + 1)

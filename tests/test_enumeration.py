@@ -132,3 +132,27 @@ class TestComponentCounts:
 def test_misuse_raises_domain_errors(call):
     with pytest.raises(NBaseError):
         call()
+
+
+def test_negative_level_is_a_level_mismatch():
+    from nbase.errors import LevelMismatch
+
+    for level in (-1, -5):
+        with pytest.raises(LevelMismatch):
+            enumerate_elements(level, 3, 3)
+
+
+def test_enumeration_is_bounded(monkeypatch):
+    from nbase import enumeration
+
+    # the largest enumeration in the repository, (2, 6, 3), is well inside
+    assert enumeration.MAX_ELEMENTS > 153_012
+    enumeration._enumerate.cache_clear()
+    monkeypatch.setattr(enumeration, "MAX_ELEMENTS", 8)
+    try:
+        assert len(enumerate_elements(2, 2, 2)) == 8   # exactly the cap
+        for args in ((2, 3, 2), (3, 2, 2), (5, 3, 2)):
+            with pytest.raises(SizeBound):
+                enumerate_elements(*args)
+    finally:
+        enumeration._enumerate.cache_clear()
