@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import index
 from typing import NamedTuple
@@ -356,7 +356,7 @@ def _splice(x, i, y):
         prefix = x.factors[0]
         for f, idx in zip(x.factors[1:i - 1], x.indices[:i - 2]):
             prefix = _execute(prefix, idx, f)
-        y_indices, _ = _graft_factors(prefix, x.indices[i - 2], y)
+        y_indices = _graft_indices(prefix, x.indices[i - 2], y)
     raw_factors = x.factors[:i - 1] + y.factors + x.factors[i:]
     raw_indices = (x.indices[:max(i - 2, 0)] + tuple(y_indices)
                    + x.indices[i - 1:])
@@ -399,21 +399,20 @@ class _Trace:
         return consumed
 
 
-def _graft_factors(W, slot, v):
-    """Graft v's factors into slot ``slot`` of W, in v's order.
+def _graft_indices(W, slot, v):
+    """Ambient graft index of each of v's factors grafted into slot ``slot``
+    of W, in v's order.
 
-    Returns the ambient graft index of each factor and the slot labels of
-    the composite: ``(0, s)`` for slot s of W, ``(t, r)`` for slot r of v's
-    factor t.  v's local slot q is the q-th slot not labelled from W.
+    Factor t + 1 grafts into v's local slot q, which in the composite is
+    psi(q) of compose(W, slot, V), V the partial composite of v's first t
+    factors: its total is the slot's content, as every partial's is.
     """
-    trace = _Trace(W, 0)
-    trace.graft(slot, v.factors[0], 1)
     indices = [slot]
-    for t, (f, q) in enumerate(zip(v.factors[1:], v.indices), start=2):
-        sigma = [p for p, lab in enumerate(trace.labels, 1) if lab[0]][q - 1]
-        trace.graft(sigma, f, t)
-        indices.append(sigma)
-    return indices, trace.labels
+    partial = v.factors[0]
+    for f, q in zip(v.factors[1:], v.indices):
+        indices.append(compose(W, slot, partial)[1].psi[q])
+        partial = _execute(partial, q, f)
+    return indices
 
 
 def provenance(x):
@@ -452,8 +451,19 @@ def normalize(g, strategy="left"):
 
 
 def _sort_sequence(level, factors, indices, strategy="left"):
-    """Bubble the sequence canonical, tracking factor positions."""
+    """Bubble the sequence canonical, tracking factor positions.
+
+    The inversions are listed first: a sequence that has none is already
+    canonical and comes back with the identity permutation before any
+    partial composite is built (at level >= 3 each partial is a compose).
+    """
     k = len(factors)
+    # inversions: the sorted positions t with indices[t] > indices[t + 1];
+    # a swap at t can only change the pairs at t - 1, t and t + 1
+    inversions = [t for t in range(k - 2) if indices[t] > indices[t + 1]]
+    if not inversions:
+        return (PlainElement(level, factors=factors, indices=indices),
+                tuple(range(1, k + 1)))
     pos = list(range(k))  # pos[p] = input index of the factor now at p
     rng = None
     if strategy.startswith("random"):
@@ -471,9 +481,6 @@ def _sort_sequence(level, factors, indices, strategy="left"):
         for t in range(1, k):
             partial.append(_execute(partial[t - 1], indices[t - 1], factors[t]))
 
-    # inversions: the sorted positions t with indices[t] > indices[t + 1];
-    # a swap at t can only change the pairs at t - 1, t and t + 1
-    inversions = [t for t in range(k - 2) if indices[t] > indices[t + 1]]
     while inversions:
         if strategy == "left":
             t = inversions[0]
@@ -584,6 +591,20 @@ def graft_at_slot(u, slot, v):
     Requires G(total_G(v)) to match the slot's content.  This is the gamma
     operation of the free structure: compose substitutes at a factor, graft
     subdivides a slot of the total.
+
+    Both runs are canonical, so nothing is sorted.  At level 2 the result is
+    one splice of preorder arity words: u's first j nodes (those grafted at
+    or left of the leaf ``slot``), then v's nodes hung there, then u's other
+    nodes, their graft indices moved right by v's leaf count - 1; the four
+    maps are arithmetic.  At level >= 3 v's factors, at their ambient
+    indices, are merged into u's tail, as the swap rule's left-first sort
+    would do: each moves left past the u-factors whose current index exceeds
+    its own, and every u-factor it passes is re-indexed by phi of
+    compose(w, a, v_j), w the partial composite before that u-factor.  The
+    merge always ends canonical: v's ambient indices are nondecreasing,
+    because v's slots keep their order in every partial, and a passed index
+    never falls below a.  The slot maps are the shuffle of
+    compose(G(u), slot, G(v)).
     """
     n = u.level
     if v.level != n or n < 2:
@@ -595,15 +616,53 @@ def graft_at_slot(u, slot, v):
         raise NotComposable(
             "total of the graft does not match slot %d of the base" % slot)
 
-    indices, labels = _graft_factors(W, slot, v)
-    elem, perm = _sort_sequence(n, list(u.factors + v.factors),
-                                list(u.indices) + indices)
-    factor_phi = {j: perm[j - 1] for j in range(1, u.m + 1)}
-    factor_psi = {t: perm[u.m + t - 1] for t in range(1, v.m + 1)}
-    slot_phi = {s: p for p, (t, s) in enumerate(labels, 1) if not t}
-    slot_psi = dict(enumerate((p for p, (t, _) in enumerate(labels, 1) if t),
-                              start=1))
-    return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
+    # u-factors 1..j keep their place: they graft at or left of the slot
+    j = 1 + bisect_right(u.indices, slot)
+    if n == 2:
+        grown = total_G(v).arity - 1
+        elem = PlainElement(2, factors=u.factors[:j] + v.factors + u.factors[j:],
+                            indices=(u.indices[:j - 1] + (slot,)
+                                     + tuple(slot - 1 + q for q in v.indices)
+                                     + tuple(b + grown for b in u.indices[j - 1:])))
+        vm = len(v.factors)
+        factor_phi = {t: t if t <= j else t + vm for t in range(1, u.m + 1)}
+        factor_psi = {t: j + t for t in range(1, vm + 1)}
+        slot_phi = {s: s if s < slot else s + grown
+                    for s in range(1, W.m + 1) if s != slot}
+        slot_psi = {r: slot - 1 + r for r in range(1, grown + 2)}
+        return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
+
+    factor_phi = {t: t for t in range(1, j + 1)}
+    factor_psi = {}
+    # u's factors after j, each as [factor, index, the map and key that get
+    # its final position, the partial composite of everything before it]
+    rest = []
+    if j < u.m:
+        w = u.factors[0]
+        for t, (f, b) in enumerate(zip(u.factors[1:], u.indices), 2):
+            if t > j:
+                rest.append([f, b, factor_phi, t, w])
+            w = _execute(w, b, f)
+    merged = []     # the entries placed left of those still in rest
+    for t, (f, a) in enumerate(zip(v.factors, _graft_indices(W, slot, v)), 1):
+        stay = 0
+        while stay < len(rest) and rest[stay][1] <= a:
+            stay += 1
+        merged += rest[:stay]
+        del rest[:stay]
+        merged.append([f, a, factor_psi, t, None])
+        for entry in rest:
+            entry[4], sh = compose(entry[4], a, f)
+            entry[1] = sh.phi[entry[1]]
+    factors = list(u.factors[:j])
+    indices = list(u.indices[:j - 1])
+    for p, (f, b, positions, key, _) in enumerate(merged + rest, j + 1):
+        factors.append(f)
+        indices.append(b)
+        positions[key] = p
+    sh = compose(W, slot, total_G(v))[1]
+    return GraftResult(PlainElement(n, factors=factors, indices=indices),
+                       factor_phi, factor_psi, sh.phi, sh.psi)
 
 
 class Attachment(NamedTuple):

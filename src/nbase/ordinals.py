@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .elements import (
+    MAX_ARITY,
     corolla,
     decompose_head,
     embed,
@@ -65,6 +66,10 @@ class Ordinal:
 # a literal nested deeper than this raises SizeBound before parsing starts
 MAX_NESTING = 256
 
+# a finite ordinal is a tuple of that many terms, bounded as a level-1 arity
+# is; an integer literal with more significant digits is refused unread
+MAX_DIGITS = len(str(MAX_ARITY))
+
 ZERO = Ordinal(())
 ONE = Ordinal((None,))
 
@@ -72,6 +77,8 @@ ONE = Ordinal((None,))
 def from_int(n):
     if n < 0:
         raise OutOfRange("ordinals are nonnegative")
+    if n > MAX_ARITY:
+        raise SizeBound("finite ordinals are bounded by %d" % MAX_ARITY)
     return Ordinal((None,) * n)
 
 
@@ -128,15 +135,27 @@ def _cmp_sums(xs, ys):
 
 def add(x, y):
     """Normal-form sum: trailing terms of x below y's lead are absorbed."""
-    if y.is_zero():
-        return x
-    if x.is_zero():
-        return y
-    lead = y.terms[0]
-    keep = len(x.terms)
-    while keep > 0 and _cmp_term(x.terms[keep - 1], lead) < 0:
-        keep -= 1
-    return Ordinal(x.terms[:keep] + y.terms)
+    return _sum((x, y))
+
+
+def _sum(parts):
+    """Normal-form sum of ordinals, left to right, in one list of terms.
+
+    Each summand pops the trailing terms below its lead and extends the
+    list in place, so a sum costs one pass however many summands it has.
+    """
+    nonzero = [y for y in parts if y.terms]
+    if len(nonzero) == 1:
+        return nonzero[0]
+    terms = []
+    for y in nonzero:
+        lead = y.terms[0]
+        if lead is not None:    # a 1 absorbs nothing; every term absorbs a 1
+            while terms and (terms[-1] is None
+                             or _cmp_term(terms[-1], lead) < 0):
+                terms.pop()
+        terms.extend(y.terms)
+    return Ordinal(tuple(terms))
 
 
 def phi(a, b):
@@ -235,13 +254,13 @@ def parse_ordinal(text):
 
     def parse_sum():
         nonlocal pos
-        acc = parse_term()
+        parts = [parse_term()]
         skip_ws()
         while pos < len(text) and text[pos] == "+":
             pos += 1
-            acc = add(acc, parse_term())
+            parts.append(parse_term())
             skip_ws()
-        return acc
+        return _sum(parts)
 
     def expect(ch):
         nonlocal pos
@@ -260,9 +279,13 @@ def parse_ordinal(text):
             j = pos
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            n = int(text[pos:j])
+            digits = text[pos:j].lstrip("0")
+            if len(digits) > MAX_DIGITS:
+                raise SizeBound("integer at offset %d has more than %d digits;"
+                                " finite ordinals are bounded by %d"
+                                % (pos, MAX_DIGITS, MAX_ARITY))
             pos = j
-            return from_int(n)
+            return from_int(int(digits or "0"))
         if text.startswith("phi(", pos):
             pos += 4
             a = parse_sum()
@@ -322,22 +345,19 @@ def eval_phin(z, alphas=None):
 
 def _walk(z, bindings, level):
     if level == 1:
-        acc = ZERO
-        for p in range(1, z.arity + 1):
-            acc = add(acc, bindings.get(p, ONE))
-        return acc
+        return _sum(bindings.get(p, ONE) for p in range(1, z.arity + 1))
     if level == 2:
         # in reverse preorder; a bound node's free prongs add nothing
         children = to_tree(z)
         values = [None] * z.m
         for t in range(z.m, 0, -1):
-            acc = bindings.get(t, ZERO)
+            parts = [bindings.get(t, ZERO)]
             for c in children[t - 1]:
                 if c > 0:
-                    acc = add(acc, hier(1, values[c - 1]))
+                    parts.append(hier(1, values[c - 1]))
                 elif t not in bindings:
-                    acc = add(acc, ONE)
-            values[t - 1] = acc
+                    parts.append(ONE)
+            values[t - 1] = _sum(parts)
         return values[0]
     hf = decompose_head(z)
     att_vals = []
@@ -347,10 +367,7 @@ def _walk(z, bindings, level):
                if orig in bindings}
         att_vals.append((att.slot, hier(level - 1, _walk(att.element, sub, level))))
     if 1 in bindings:
-        acc = bindings[1]
-        for _slot, val in att_vals:
-            acc = add(acc, val)
-        return acc
+        return _sum([bindings[1]] + [val for _slot, val in att_vals])
     return _walk(hf.head, dict(att_vals), level - 1)
 
 

@@ -353,3 +353,32 @@ def test_normalize_rejects_what_is_not_a_raw_sequence(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(error + ": ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "cmp", "9" * 5000, "1"],          # past int()'s 4300-digit limit
+    ["ord", "cmp", "w", "9" * 4000],          # a tuple that size overflows
+    ["ord", "cmp", "1000000000000", "1"],     # a tuple that size exhausts memory
+    ["ord", "add", "w", "100001"],            # one above the arity bound
+])
+def test_ord_integer_literals_are_bounded(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("SizeBound: ") and err.count("\n") == 1
+
+
+def test_ord_integer_literals_up_to_the_bound(capsys):
+    assert run(capsys, "ord", "cmp", "100000", "0" * 5000 + "99999") == (
+        0, "GT\n", "")
+
+
+def test_ord_eval_of_a_wide_corolla_is_linear(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ord", "eval", "100000")
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, "100000\n", "")
+    literal = "+".join(["1"] * 20000 + ["w"] + ["1"] * 20000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ord", "add", literal, "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, "w+20001\n", "")

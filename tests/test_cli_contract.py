@@ -17,7 +17,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import nbase
 from nbase import enumeration
@@ -209,3 +209,61 @@ def test_every_input_ends_in_exit_0_1_or_2(command, data):
     assert "Traceback" not in err, argv
     if code == 1:
         assert err.count("\n") == 1 and ": " in err, (argv, err)
+
+
+# -- the same contract under python -O ------------------------------------------
+
+OPTIMIZED = """
+import contextlib, io, json, sys, traceback
+from unittest import mock
+from nbase import enumeration
+from nbase.cli import main
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \\
+            mock.patch.object(enumeration, "MAX_ELEMENTS", 2000):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code, err = None, io.StringIO(traceback.format_exc())
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _sample(command, count):
+    """The first ``count`` argv lists the derandomized strategy draws."""
+    drawn = []
+
+    @settings(CONTRACT, max_examples=count, phases=[Phase.generate])
+    @given(data=st.data())
+    def draw(data):
+        drawn.append(command.split()
+                     + list(_flatten(data.draw(COMMANDS[command]))))
+
+    draw()
+    return drawn[:count]
+
+
+def test_every_input_ends_in_exit_0_1_or_2_under_python_O():
+    # -O strips asserts, so no outcome may rest on one
+    argvs = [argv for command in sorted(COMMANDS)
+             for argv in _sample(command, 10)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nbase.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED],
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs) >= 150
+    for argv, (code, err) in zip(argvs, results):
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert err.count("\n") == 1 and ": " in err, (argv, err)
