@@ -6,13 +6,17 @@ phi_a(b) in normal form (b below the value, subscripts absorbed).  The
 subscript convention is shifted so that phi_1(b) is the omega power
 omega^(1+b); for subscripts >= 2 the shift is invisible.
 
-At level 2 the element evaluation goes node by node, children first: a
-free prong contributes 1 and a subtree s contributes omega^(eval(s)).  At
-levels >= 3 it walks head decompositions: an attachment at a slot adds the
-next function in the hierarchy applied (shift-adjusted) to its value,
-delivered through the slot it subdivides.  A per-slot value attached to a
-factor surfaces where that factor heads its local decomposition, replacing
-the 1s of its free slots; encode never builds anything but single-use
+Evaluation is one reverse pass over the factor tree (``trees.to_tree``,
+the tree of iterated head decompositions) at every level, children before
+parents: a factor's children are the factors grafted into its slots.  At
+level n a factor is evaluated one level down, with each occupied slot
+bound to the next function in the hierarchy applied (shift-adjusted) to
+its child's value, hier(n - 1, .), and each free slot worth 1; at level 2
+a free prong contributes 1 and a subtree s contributes omega^(eval(s)).
+So the recursion goes down one level a call, as deep as the element's
+level.  A per-slot value bound to a factor stands in for that factor's own
+evaluation: it is summed with what its occupied slots are bound to, and
+its free slots add nothing; encode never builds anything but single-use
 carriers, so the value appears exactly once.
 
 encode inverts the default evaluation constructively, one level at a
@@ -26,13 +30,13 @@ notation below the level-4 image bound.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .elements import (
     MAX_ARITY,
     corolla,
-    decompose_head,
     embed,
     graft_at_slot,
     total_G,
@@ -62,13 +66,16 @@ class Ordinal:
         return "<ord %s>" % format_ordinal(self)
 
 
-# parsing recurses once per parenthesis level (cmp and formatting do not);
-# a literal nested deeper than this raises SizeBound before parsing starts
+# cmp recurses once per nesting level of subscripts (parsing, formatting
+# and sums do not); the parser raises SizeBound when a literal opens more
+# phi( and w^( frames than this at once
 MAX_NESTING = 256
 
 # a finite ordinal is a tuple of that many terms, bounded as a level-1 arity
 # is; an integer literal with more significant digits is refused unread
 MAX_DIGITS = len(str(MAX_ARITY))
+
+_ORD_TOKEN = re.compile(r"\d+|phi\(|\S")
 
 ZERO = Ordinal(())
 ONE = Ordinal((None,))
@@ -236,80 +243,59 @@ def _term_pieces(t):
 
 
 def parse_ordinal(text):
-    """Parse `0 | term (+ term)*` with term `nat | w | w^(ord) | phi(a,b)`."""
-    if text.count("(") > MAX_NESTING:
-        depth = 0
-        for c in text:
-            depth += (c == "(") - (c == ")")
-            if depth > MAX_NESTING:
+    """Parse `0 | term (+ term)*` with term `nat | w | w^(ord) | phi(a,b)`.
+
+    One pass over the tokens; open `phi(` and `w^(` frames wait on a stack
+    with the terms of the sum that encloses them.
+    """
+    tokens = _ORD_TOKEN.findall(text)
+    tokens.append("")  # every path that reads it raises or returns
+    take = iter(tokens).__next__
+    stack = []   # open frames: [token that ends the argument, first
+    #              argument of a phi or None, terms of the enclosing sum]
+    terms = []   # the terms so far of the innermost open sum
+    while True:
+        tok = take()
+        if tok == "phi(" or tok == "w" and (after := take()) == "^":
+            if tok == "w" and take() != "(":
+                raise ParseError("expected '(' after 'w^' in %r" % text)
+            if len(stack) == MAX_NESTING:
                 raise SizeBound("ordinal literal is nested deeper than %d"
                                 % MAX_NESTING)
-    pos = 0
-    text = text.strip()
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_sum():
-        nonlocal pos
-        parts = [parse_term()]
-        skip_ws()
-        while pos < len(text) and text[pos] == "+":
-            pos += 1
-            parts.append(parse_term())
-            skip_ws()
-        return _sum(parts)
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            raise ParseError("expected %r at offset %d in %r" % (ch, pos, text))
-        pos += 1
-
-    def parse_term():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ParseError("unexpected end of ordinal literal")
-        c = text[pos]
-        if c.isdecimal():
-            j = pos
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            digits = text[pos:j].lstrip("0")
+            stack.append(["," if tok == "phi(" else ")", None, terms])
+            terms = []
+            continue
+        if tok == "w":
+            term, tok = omega_pow(ONE), after
+        elif tok[:1].isdecimal():
+            digits = tok.lstrip("0")
             if len(digits) > MAX_DIGITS:
-                raise SizeBound("integer at offset %d has more than %d digits;"
-                                " finite ordinals are bounded by %d"
-                                % (pos, MAX_DIGITS, MAX_ARITY))
-            pos = j
-            return from_int(int(digits or "0"))
-        if text.startswith("phi(", pos):
-            pos += 4
-            a = parse_sum()
-            expect(",")
-            b = parse_sum()
-            expect(")")
-            return phi(a, b)
-        if c == "w":
-            pos += 1
-            skip_ws()
-            if pos < len(text) and text[pos] == "^":
-                pos += 1
-                expect("(")
-                g = parse_sum()
-                expect(")")
-                return omega_pow(g)
-            return omega_pow(ONE)
-        raise ParseError("cannot parse ordinal at offset %d in %r" % (pos, text))
-
-    value = parse_sum()
-    skip_ws()
-    if pos != len(text):
-        raise ParseError("trailing input in ordinal literal %r" % text)
-    return value
+                raise SizeBound("integer of more than %d digits; finite"
+                                " ordinals are bounded by %d"
+                                % (MAX_DIGITS, MAX_ARITY))
+            term, tok = from_int(int(digits or "0")), take()
+        else:
+            raise ParseError("unexpected %s in ordinal literal %r"
+                             % (repr(tok) if tok else "end", text))
+        # a term is complete: add it to its sum, closing frames until a
+        # "+" or a phi's "," continues with another term
+        while True:
+            terms.append(term)
+            if tok == "+":
+                break
+            value = _sum(terms)
+            if not stack and not tok:
+                return value
+            if not stack or tok != stack[-1][0]:
+                raise ParseError("unexpected %s in ordinal literal %r"
+                                 % (repr(tok) if tok else "end", text))
+            if tok == ",":
+                stack[-1][:2] = ")", value
+                terms = []
+                break
+            _end, first, terms = stack.pop()
+            term = omega_pow(value) if first is None else phi(first, value)
+            tok = take()
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -328,8 +314,8 @@ def eval_phin(z, alphas=None):
     With default arguments this extends the explicit level-2 walk: an
     attachment at a slot contributes hier(level-1, value of the attachment)
     at that slot's position, a free slot contributes 1.  A non-default
-    argument rides its slot's factor and surfaces where that factor heads
-    its local decomposition (at level 1 the arguments are simply summed).
+    argument rides its slot's factor and stands in for that factor's own
+    evaluation (at level 1 the arguments are simply summed).
     """
     if z.level < 1:
         raise NotImplementedLevel("evaluation needs level >= 1")
@@ -346,29 +332,18 @@ def eval_phin(z, alphas=None):
 def _walk(z, bindings, level):
     if level == 1:
         return _sum(bindings.get(p, ONE) for p in range(1, z.arity + 1))
-    if level == 2:
-        # in reverse preorder; a bound node's free prongs add nothing
-        children = to_tree(z)
-        values = [None] * z.m
-        for t in range(z.m, 0, -1):
-            parts = [bindings.get(t, ZERO)]
-            for c in children[t - 1]:
-                if c > 0:
-                    parts.append(hier(1, values[c - 1]))
-                elif t not in bindings:
-                    parts.append(ONE)
-            values[t - 1] = _sum(parts)
-        return values[0]
-    hf = decompose_head(z)
-    att_vals = []
-    for att in hf.attachments:
-        sub = {local: bindings[orig]
-               for local, orig in enumerate(att.positions, start=1)
-               if orig in bindings}
-        att_vals.append((att.slot, hier(level - 1, _walk(att.element, sub, level))))
-    if 1 in bindings:
-        return _sum([bindings[1]] + [val for _slot, val in att_vals])
-    return _walk(hf.head, dict(att_vals), level - 1)
+    # factors in reverse order, so a factor's children are done before it;
+    # each occupied slot is bound to hier(level - 1, value of its child)
+    children = to_tree(z)
+    values = [None] * z.m
+    for t in range(z.m, 0, -1):
+        slots = {r: hier(level - 1, values[c - 1])
+                 for r, c in enumerate(children[t - 1], start=1) if c > 0}
+        if t in bindings:   # a bound factor's free slots add nothing
+            values[t - 1] = _sum([bindings[t], *slots.values()])
+        else:
+            values[t - 1] = _walk(z.factors[t - 1], slots, level - 1)
+    return values[0]
 
 
 # -- encoding -----------------------------------------------------------------

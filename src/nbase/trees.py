@@ -1,4 +1,4 @@
-"""Planar rooted trees of level-2 elements, held as child lists.
+"""Planar rooted trees of elements, held as child lists.
 
 A level-2 element is a planar tree: its factors are the internal nodes in
 preorder (root first, children left to right), and factor t+1 hangs off
@@ -8,6 +8,11 @@ at its prongs, a node number or a negative leaf.  Every tree edit
 (one-morphisms, unit plugs, the oracle suite) rewrites these lists and
 reads the result back with ``walk``, one iterative preorder pass; the
 renderers draw them as they are.
+
+At every level >= 2 the factors form the same kind of tree, the tree of
+iterated head decompositions: a factor's children are the factors grafted
+into its slots.  ``to_tree`` takes any level >= 2 (the ordinal evaluation
+walks it); ``walk`` and ``from_tree`` read level-2 trees only.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from .errors import LevelMismatch
 
 
 def to_tree(x):
-    """Child lists of a level-2 element: ``children[t - 1][p - 1]`` is the
-    node at prong p of node t (nodes are factor positions), or -n when that
-    prong is leaf n, slot n of the total."""
-    if x.level != 2:
-        raise LevelMismatch("tree view needs a level-2 element")
+    """Child lists of an element of level >= 2: ``children[t - 1][r - 1]``
+    is the factor grafted into slot r of factor t, or -n when that slot is
+    slot n of the total.  At level 2 these are the node at prong r of node
+    t, or leaf n."""
+    if x.level < 2:
+        raise LevelMismatch("tree view needs level >= 2")
     parents, leaves = provenance(x)
-    children = [[0] * f.arity for f in x.factors]
+    children = [[0] * f.m for f in x.factors]
     for t, (s, r) in enumerate(parents, start=2):
         children[s - 1][r - 1] = t
     for n, (s, r) in enumerate(leaves, start=1):

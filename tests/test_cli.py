@@ -215,6 +215,18 @@ def test_ord_eval_on_a_1500_node_chain(capsys):
     assert out == "w^(" * 1498 + "w" + ")" * 1498 + "\n"
 
 
+@pytest.mark.parametrize("factor,subscript", [("[1|]", 2), ("[[1|]|]", 3)])
+def test_ord_eval_on_a_1500_factor_chain_above_level_2(capsys, factor,
+                                                       subscript):
+    # each factor grafted into slot 1 of the one before: level 3 and 4
+    chain = "[%s|%s]" % (",".join([factor] * 1500), ",".join(["1"] * 1499))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ord", "eval", chain)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert out == "phi(%d," % subscript * 1499 + "0" + ")" * 1499 + "\n"
+
+
 @pytest.mark.parametrize("literal", [
     "[" * 3000 + "1" + "|]" * 3000,
     "[" * 100000,

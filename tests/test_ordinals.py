@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbase.errors import NotImplementedLevel, OutOfRange, ParseError
+from nbase.errors import NotImplementedLevel, OutOfRange, ParseError, SizeBound
 from nbase.grammar import parse_element as pe
 from nbase.ordinals import (
+    MAX_NESTING,
     ONE,
     ZERO,
     add,
@@ -141,6 +142,18 @@ class TestGrammar:
         for bad in ("", "+1", "phi(1)", "w^", "5x"):
             with pytest.raises(ParseError):
                 parse_ordinal(bad)
+
+    @pytest.mark.parametrize("opener", ["w^(", "phi(1,"])
+    def test_nesting_bound_counts_open_frames(self, opener):
+        deepest = opener * MAX_NESTING + "1" + ")" * MAX_NESTING
+        value = parse_ordinal(deepest)
+        assert cmp(parse_ordinal(format_ordinal(value)), value) == 0
+        if opener == "w^(":
+            assert format_ordinal(value) == "w^(" * 255 + "w" + ")" * 255
+        # one frame more, or thousands, is refused without recursing
+        for depth in (MAX_NESTING + 1, 10_000):
+            with pytest.raises(SizeBound):
+                parse_ordinal(opener * depth + "1" + ")" * depth)
 
 
 class TestEvalPhi2:

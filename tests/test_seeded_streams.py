@@ -2,7 +2,9 @@
 
 The random generators and ``encode`` build their outputs by grafting, so a
 change to grafting that moved a factor or a map would show here.  The
-digests were recorded before grafting stopped re-sorting.
+digests were recorded before grafting stopped re-sorting.  The ordinal
+parser's stream, values and error classes over mutated notations, was
+recorded while ``parse_ordinal`` still recursed per parenthesis.
 """
 
 import hashlib
@@ -39,3 +41,43 @@ def test_encode_over_the_criterion_8_notations():
             done += 1
     assert digest(lines) == (
         "c716bee1c77ec35e02736177fb7ed601256377271d63b80a55bff85b0b28b774")
+
+
+def mutants(text, rng):
+    """text and three seeded mutants of it, with one, two and three edits."""
+    out = [text]
+    for edits in (1, 2, 3):
+        mutant = text
+        for _ in range(edits):
+            pos = rng.randint(0, len(mutant))
+            char = rng.choice("w^()+,phi 0123456789-")
+            mutant = rng.choice([mutant[:pos] + char + mutant[pos:],
+                                 mutant[:pos] + mutant[pos + 1:],
+                                 mutant[:pos] + char + mutant[pos + 1:]])
+        out.append(mutant)
+    return out
+
+
+def test_parse_ordinal_over_mutants_of_the_criterion_8_notations():
+    # each literal's value, or the class of the error it raised; no literal
+    # has more than 23 parentheses, so where the parse checks the nesting
+    # bound does not show
+    rng = random.Random(8)
+    lines = []
+    for n in (1, 2, 3, 4):
+        gen = random.Random(80 + n)
+        done = 0
+        while done < 500:
+            beta = random_normal_form(gen, n, depth=5 if n > 1 else 0)
+            if beta.is_zero() or ordinals.cmp(beta, ordinals._phi_bound(n)) >= 0:
+                continue
+            for text in mutants(ordinals.format_ordinal(beta), rng):
+                try:
+                    value = ordinals.format_ordinal(ordinals.parse_ordinal(text))
+                except Exception as exc:
+                    value = type(exc).__name__
+                lines.append("%r %s" % (text, value))
+            done += 1
+    assert len(lines) == 8000
+    assert digest(lines) == (
+        "da86cfcc65ba3fd416dc76d6836c1563b0c65f4e8bf38d91a5101543907cc171")
