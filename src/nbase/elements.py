@@ -19,7 +19,7 @@ every factor lands.  All values are immutable; every function is pure.
 
 Elements are hash-consed: every construction looks the value up in an
 intern table, so each distinct value is built and validated once and two
-equal elements are the same object (``==`` is identity).
+equal elements are the same object (``==`` and the hash are identity).
 """
 
 from __future__ import annotations
@@ -51,11 +51,12 @@ class PlainElement:
 
     Construction goes through ``__new__``: a value already in the intern
     table is returned as it is; a new value is fully validated first and
-    stored only if valid.  Equal values are therefore identical objects and
-    equality is identity; the hash stays structural.
+    stored only if valid.  Equal values are therefore identical objects:
+    equality and hash are both identity, computed in C.  No id is reused
+    while a table key names it, since the key holds its factors alive.
     """
 
-    __slots__ = ("level", "arity", "factors", "indices", "_hash", "_total",
+    __slots__ = ("level", "arity", "factors", "indices", "_total",
                  "__weakref__")
 
     def __new__(cls, level, arity=None, factors=None, indices=None,
@@ -70,7 +71,7 @@ class PlainElement:
             self = _corollas.get(key)
             if self is None:
                 self = _corollas.setdefault(key, _new(
-                    cls, key, level, arity if level else None, None, None,
+                    cls, level, arity if level else None, None, None,
                     POINT if level else None))
             return self
         factors = tuple(factors)
@@ -86,7 +87,7 @@ class PlainElement:
         except TypeError:  # an unhashable factor, which validation reports
             self = None
         if self is None:
-            new = _new(cls, key, level, None, factors, indices,
+            new = _new(cls, level, None, factors, indices,
                        _validate(level, factors, indices))
             with _intern_lock:  # another thread may have stored it meanwhile
                 self = _interned.setdefault(key, new)
@@ -94,7 +95,7 @@ class PlainElement:
 
     def __init__(self, level, arity=None, factors=None, indices=None,
                  allow_zero=False):
-        """Nothing to set: ``__new__`` returns a shared, validated instance."""
+        """Nothing to set (``__new__`` built it); kept for tracers to wrap."""
 
     # -- basic structure -------------------------------------------------
 
@@ -106,9 +107,6 @@ class PlainElement:
         if self.level == 1:
             return self.arity
         return len(self.factors)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         from .grammar import format_element
@@ -134,13 +132,12 @@ def _validate(level, factors, indices):
     return _check_sequence(factors, indices)
 
 
-def _new(cls, key, level, arity, factors, indices, total):
+def _new(cls, level, arity, factors, indices, total):
     self = object.__new__(cls)
     self.level = level
     self.arity = arity
     self.factors = factors
     self.indices = indices
-    self._hash = hash(key)
     self._total = total
     return self
 
@@ -453,9 +450,11 @@ def normalize(g, strategy="left"):
 def _sort_sequence(level, factors, indices, strategy="left"):
     """Bubble the sequence canonical, tracking factor positions.
 
-    The inversions are listed first: a sequence that has none is already
-    canonical and comes back with the identity permutation before any
-    partial composite is built (at level >= 3 each partial is a compose).
+    The one swap-rule sort: ``_compose``, ``graft_at_slot`` at level >= 3
+    and ``normalize`` call it.  The inversions are listed first: a sequence
+    that has none is already canonical and comes back with the identity
+    permutation before any partial composite is built (at level >= 3 each
+    partial is a compose).
     """
     k = len(factors)
     # inversions: the sorted positions t with indices[t] > indices[t + 1];
@@ -592,19 +591,13 @@ def graft_at_slot(u, slot, v):
     operation of the free structure: compose substitutes at a factor, graft
     subdivides a slot of the total.
 
-    Both runs are canonical, so nothing is sorted.  At level 2 the result is
-    one splice of preorder arity words: u's first j nodes (those grafted at
-    or left of the leaf ``slot``), then v's nodes hung there, then u's other
-    nodes, their graft indices moved right by v's leaf count - 1; the four
-    maps are arithmetic.  At level >= 3 v's factors, at their ambient
-    indices, are merged into u's tail, as the swap rule's left-first sort
-    would do: each moves left past the u-factors whose current index exceeds
-    its own, and every u-factor it passes is re-indexed by phi of
-    compose(w, a, v_j), w the partial composite before that u-factor.  The
-    merge always ends canonical: v's ambient indices are nondecreasing,
-    because v's slots keep their order in every partial, and a passed index
-    never falls below a.  The slot maps are the shuffle of
-    compose(G(u), slot, G(v)).
+    At level 2 the result is one splice of preorder arity words, with no
+    sort: u's first j nodes (those grafted at or left of the leaf ``slot``),
+    then v's nodes hung there, then u's other nodes, their graft indices
+    moved right by v's leaf count - 1; the four maps are arithmetic.  At
+    level >= 3 v's factors, at their ambient indices, follow u's, and
+    ``_sort_sequence`` orders them; the factor maps are its permutation.
+    The slot maps are the shuffle of compose(G(u), slot, G(v)).
     """
     n = u.level
     if v.level != n or n < 2:
@@ -616,9 +609,9 @@ def graft_at_slot(u, slot, v):
         raise NotComposable(
             "total of the graft does not match slot %d of the base" % slot)
 
-    # u-factors 1..j keep their place: they graft at or left of the slot
-    j = 1 + bisect_right(u.indices, slot)
     if n == 2:
+        # u-factors 1..j keep their place: they graft at or left of the slot
+        j = 1 + bisect_right(u.indices, slot)
         grown = total_G(v).arity - 1
         elem = PlainElement(2, factors=u.factors[:j] + v.factors + u.factors[j:],
                             indices=(u.indices[:j - 1] + (slot,)
@@ -632,37 +625,12 @@ def graft_at_slot(u, slot, v):
         slot_psi = {r: slot - 1 + r for r in range(1, grown + 2)}
         return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
 
-    factor_phi = {t: t for t in range(1, j + 1)}
-    factor_psi = {}
-    # u's factors after j, each as [factor, index, the map and key that get
-    # its final position, the partial composite of everything before it]
-    rest = []
-    if j < u.m:
-        w = u.factors[0]
-        for t, (f, b) in enumerate(zip(u.factors[1:], u.indices), 2):
-            if t > j:
-                rest.append([f, b, factor_phi, t, w])
-            w = _execute(w, b, f)
-    merged = []     # the entries placed left of those still in rest
-    for t, (f, a) in enumerate(zip(v.factors, _graft_indices(W, slot, v)), 1):
-        stay = 0
-        while stay < len(rest) and rest[stay][1] <= a:
-            stay += 1
-        merged += rest[:stay]
-        del rest[:stay]
-        merged.append([f, a, factor_psi, t, None])
-        for entry in rest:
-            entry[4], sh = compose(entry[4], a, f)
-            entry[1] = sh.phi[entry[1]]
-    factors = list(u.factors[:j])
-    indices = list(u.indices[:j - 1])
-    for p, (f, b, positions, key, _) in enumerate(merged + rest, j + 1):
-        factors.append(f)
-        indices.append(b)
-        positions[key] = p
+    elem, perm = _sort_sequence(n, list(u.factors + v.factors),
+                                list(u.indices) + _graft_indices(W, slot, v))
     sh = compose(W, slot, total_G(v))[1]
-    return GraftResult(PlainElement(n, factors=factors, indices=indices),
-                       factor_phi, factor_psi, sh.phi, sh.psi)
+    return GraftResult(elem, {t: perm[t - 1] for t in range(1, u.m + 1)},
+                       {t: perm[u.m + t - 1] for t in range(1, v.m + 1)},
+                       sh.phi, sh.psi)
 
 
 class Attachment(NamedTuple):

@@ -28,7 +28,8 @@ def _graft_sequences(pool, max_factors):
     by_total = {}  # total -> the pool members with that total, in pool order
     for g in pool:
         by_total.setdefault(total_G(g), []).append(g)
-    stack = [([head], [], head) for head in reversed(pool)]
+    stack = ([([head], [], head) for head in reversed(pool)]
+             if max_factors >= 1 else [])
     while stack:
         factors, indices, partial = stack.pop()
         yield factors, indices, partial

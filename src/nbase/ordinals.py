@@ -53,14 +53,25 @@ from .trees import to_tree
 
 # -- notation ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ordinal:
     """Sum of terms, nonincreasing; a term is None (the ordinal 1) or a
-    pair (a, b) of Ordinals standing for phi_a(b)."""
+    pair (a, b) of Ordinals standing for phi_a(b).
+
+    Equality is ``cmp`` and the hash is that of the literal, so neither
+    recurses per nesting level; normal forms are unique, so equal values
+    have one literal.
+    """
     terms: tuple = ()
 
     def is_zero(self):
         return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, Ordinal) and cmp(self, other) == 0
+
+    def __hash__(self):
+        return hash(format_ordinal(self))
 
     def __repr__(self):
         return "<ord %s>" % format_ordinal(self)

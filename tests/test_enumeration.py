@@ -156,3 +156,19 @@ def test_enumeration_is_bounded(monkeypatch):
                 enumerate_elements(*args)
     finally:
         enumeration._enumerate.cache_clear()
+
+
+def test_a_factor_bound_below_1_counts_nothing():
+    assert free_plain_algebra_count(
+        2, {corolla(1): 1, corolla(2): 2}, corolla(2), 0) == 0
+    assert free_plain_algebra_count(1, {POINT: 2}, POINT, 0) == 0
+
+
+@pytest.mark.parametrize("level,bound", [(2, 0), (3, -5)])
+def test_a_factor_bound_below_1_enumerates_nothing(capsys, level, bound):
+    from nbase.cli import main
+
+    assert enumerate_elements(level, bound, 3) == []
+    assert main(["enum", "--level", str(level),
+                 "--max-factors", str(bound)]) == 0
+    assert capsys.readouterr().out == ""

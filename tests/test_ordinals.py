@@ -265,3 +265,14 @@ class TestImageSweep:
         bound = po("phi(2,0)")
         for v in values:
             assert cmp(v, bound) < 0
+
+
+def test_equality_and_hash_of_a_deep_value():
+    # the flat 1500-node chain evaluates to a value nested 1500 deep; the
+    # dataclass's generated == and hash recursed once per level
+    chain = pe("[%s|%s]" % (",".join(["1"] * 1500), ",".join(["1"] * 1499)))
+    v, w = eval_phin(chain), eval_phin(chain)
+    assert isinstance(hash(v), int) and hash(v) == hash(w)
+    assert v == w and not v != w
+    assert len({v, w}) == 1
+    assert v != ONE and ONE != v and v != format_ordinal(v)

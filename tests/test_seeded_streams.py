@@ -2,7 +2,9 @@
 
 The random generators and ``encode`` build their outputs by grafting, so a
 change to grafting that moved a factor or a map would show here.  The
-digests were recorded before grafting stopped re-sorting.  The ordinal
+digests were recorded before grafting stopped re-sorting; the level-3/4
+graft maps were recorded while grafting merged v's factors into u's tail
+instead of calling the swap-rule sort.  The ordinal
 parser's stream, values and error classes over mutated notations, was
 recorded while ``parse_ordinal`` still recursed per parenthesis.
 """
@@ -11,8 +13,9 @@ import hashlib
 import random
 
 from nbase import ordinals
+from nbase.elements import graft_at_slot, slots_F, total_G
 from nbase.grammar import format_element
-from nbase.randgen import random_element
+from nbase.randgen import random_element, random_with_total
 from nbase.selftest import random_normal_form
 
 
@@ -25,6 +28,40 @@ def test_randgen_elements_for_seeds_1_to_50_at_levels_2_to_4():
              for level in (2, 3, 4) for seed in range(1, 51)]
     assert digest(lines) == (
         "1183bbbcfd89771df1f8d5d4ed0edc9818292ddca761ad9a78c890e257ee4ec0")
+
+
+def test_graft_maps_at_levels_3_and_4():
+    # triples drawn as in test_graft_and_head_contents_on_random_elements;
+    # 210 of the 400 grafts put some of v's factors before u's last one
+    lines = []
+    for level in (3, 4):
+        for seed in range(1, 51):
+            rng = random.Random(seed)
+            for _ in range(4):
+                u = random_element(level, rng, grafts=rng.randint(1, 3),
+                                   max_arity=3)
+                W = total_G(u)
+                slot = rng.randint(1, W.m)
+                v = random_with_total(level, random_with_total(
+                    level - 1, slots_F(W)[slot - 1], rng), rng)
+                g = graft_at_slot(u, slot, v)
+                lines.append(" ".join([format_element(g.element)] + [
+                    repr(sorted(m.items())) for m in g[1:]]))
+    assert len(lines) == 400
+    assert digest(lines) == (
+        "00c284cf2f2bdfa093a7e84c377373143484e51509e648db866673619cc02ca8")
+
+
+def test_image_sweep_values():
+    # recorded while Ordinal had the dataclass's structural == and hash
+    for args, count, expected in (
+            ((2, 3, 2), 17,
+             "1a890b9151e6a09c671afca5d0e6b17d81b01428d97d370b4df314349e58bf4f"),
+            ((3, 3, 2), 1782,
+             "f8a029d5659c17da0f35cbc1401144e04e90468b1e3ac60b8156f17044910f1a")):
+        values = sorted(map(ordinals.format_ordinal, ordinals.image_sweep(*args)))
+        assert len(values) == count
+        assert digest(values) == expected
 
 
 def test_encode_over_the_criterion_8_notations():
