@@ -17,15 +17,15 @@ returns, besides the canonical result, the pair of strictly increasing
 position maps (phi for x's surviving factors, psi for y's) recording where
 every factor lands.  All values are immutable; every function is pure.
 
-Elements are hash-consed: every construction looks the value up in an
-intern table, so each distinct value is built and validated once and two
-equal elements are the same object (``==`` and the hash are identity).
+Elements are hash-consed: every construction looks the value up in one
+intern table, so each distinct value is built and validated once per
+process and two equal elements are the same object (``==`` and the hash
+are identity).  A value, once built, lives for the process, as compose
+results do.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import index
@@ -51,13 +51,11 @@ class PlainElement:
 
     Construction goes through ``__new__``: a value already in the intern
     table is returned as it is; a new value is fully validated first and
-    stored only if valid.  Equal values are therefore identical objects:
-    equality and hash are both identity, computed in C.  No id is reused
-    while a table key names it, since the key holds its factors alive.
+    stored only if valid.  Equal values are therefore one object for the
+    life of the process: equality and hash are both identity, computed in C.
     """
 
-    __slots__ = ("level", "arity", "factors", "indices", "_total",
-                 "__weakref__")
+    __slots__ = ("level", "arity", "factors", "indices", "_total")
 
     def __new__(cls, level, arity=None, factors=None, indices=None,
                 allow_zero=False):
@@ -68,9 +66,9 @@ class PlainElement:
             if level == 1 and arity > MAX_ARITY:
                 raise SizeBound("level-1 arity is bounded by %d, got %d" % (MAX_ARITY, arity))
             key = (1, arity) if level else (0,)
-            self = _corollas.get(key)
+            self = _interned.get(key)
             if self is None:
-                self = _corollas.setdefault(key, _new(
+                self = _interned.setdefault(key, _new(
                     cls, level, arity if level else None, None, None,
                     POINT if level else None))
             return self
@@ -87,10 +85,9 @@ class PlainElement:
         except TypeError:  # an unhashable factor, which validation reports
             self = None
         if self is None:
-            new = _new(cls, level, None, factors, indices,
-                       _validate(level, factors, indices))
-            with _intern_lock:  # another thread may have stored it meanwhile
-                self = _interned.setdefault(key, new)
+            self = _interned.setdefault(key, _new(
+                cls, level, None, factors, indices,
+                _validate(level, factors, indices)))
         return self
 
     def __init__(self, level, arity=None, factors=None, indices=None,
@@ -142,12 +139,10 @@ def _new(cls, level, arity, factors, indices, total):
     return self
 
 
-# The point and the corollas are few and stay; deeper values live while
-# used.  Storing a key of ints in a dict is one atomic step; the weak-value
-# dictionary's setdefault is Python code and needs the lock.
-_corollas: dict = {}
-_interned = weakref.WeakValueDictionary()
-_intern_lock = threading.Lock()
+# Keys are (0,), (1, arity) and (level, factors, indices), built from ints
+# and identity-hashed elements, so dict.setdefault runs no Python code and
+# is one atomic step: threads that build one value at once get one object.
+_interned: dict = {}
 
 POINT = PlainElement(0)
 
@@ -157,7 +152,7 @@ def corolla(arity, allow_zero=False):
     # a stored corolla of positive int arity is valid; arity 0, bools,
     # floats and arities not seen yet go through the checking constructor
     if arity.__class__ is int and arity > 0:
-        found = _corollas.get((1, arity))
+        found = _interned.get((1, arity))
         if found is not None:
             return found
     return PlainElement(1, arity=arity, allow_zero=allow_zero)

@@ -52,6 +52,8 @@ def _enumerate(level, max_factors, max_arity, min_arity=1):
     """Elements in generation order; min_arity 0 admits the arity-0 corolla."""
     if level < 0:
         raise LevelMismatch("enumeration needs level >= 0, got %d" % level)
+    if max_factors < 1:
+        return ()
     if level == 0:
         return (POINT,)
     if level == 1:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import threading
 import pytest
 
 from oracle_trees import build_tree, preorder, serialize
+from nbase import elements
 from nbase.elements import (
     GammaSequence,
     POINT,
@@ -461,6 +463,33 @@ class TestInterning:
         assert not any(t.is_alive() for t in threads)
         for built in zip(*results):
             assert all(x is built[0] for x in built)
+
+    def test_each_value_is_validated_once_per_process(self, monkeypatch):
+        from nbase.ordinals import _phi_bound, cmp, encode
+        from nbase.selftest import random_normal_form
+
+        calls = []
+        validate = elements._validate
+
+        def counted(*args):
+            calls.append(1)
+            return validate(*args)
+
+        monkeypatch.setattr(elements, "_validate", counted)
+        rng = random.Random(7)
+        notations = []
+        while len(notations) < 100:
+            n = rng.randint(2, 4)
+            beta = random_normal_form(rng, n, depth=4)
+            if not beta.is_zero() and cmp(beta, _phi_bound(n)) < 0:
+                notations.append((beta, n))
+
+        for _ in range(2):  # no result is kept between the passes
+            calls.clear()
+            for beta, n in notations:
+                encode(beta, n)
+            gc.collect()
+        assert calls == []
 
 
 def test_structural_equality_and_hash():

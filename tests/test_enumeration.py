@@ -164,7 +164,8 @@ def test_a_factor_bound_below_1_counts_nothing():
     assert free_plain_algebra_count(1, {POINT: 2}, POINT, 0) == 0
 
 
-@pytest.mark.parametrize("level,bound", [(2, 0), (3, -5)])
+@pytest.mark.parametrize("level,bound",
+                         [(2, 0), (3, -5), (1, 0), (1, -5), (0, 0)])
 def test_a_factor_bound_below_1_enumerates_nothing(capsys, level, bound):
     from nbase.cli import main
 

@@ -2,13 +2,19 @@ import pytest
 
 from nbase.elements import compose, corolla, slots_F, total_G
 from nbase.enumeration import enumerate_elements
-from nbase.errors import NotComposable, NotImplementedLevel, RangeViolation
+from nbase.errors import (
+    LevelMismatch,
+    NotComposable,
+    NotImplementedLevel,
+    RangeViolation,
+)
 from nbase.grammar import parse_element as pe
 from nbase.units import (
     ERASER,
     RElement,
     ZERO,
     check_runital_bijection,
+    parse_relement,
     r_compose,
     r_normalize,
     unit,
@@ -121,3 +127,15 @@ class TestNormalizeAndBijection:
         raw = pe("[2,0|2]", allow_zero=True)
         normal = r_normalize(raw).plain
         assert normal == pe("[1|]")
+
+
+def test_parse_relement_reads_the_extended_literals():
+    assert parse_relement(" !e ") is ERASER
+    assert parse_relement("0") is ZERO
+    assert parse_relement("0", level=1) is ZERO
+    assert parse_relement("3", level=1) == RElement(plain=corolla(3))
+    raw = parse_relement("[2,0|1]")
+    assert isinstance(raw, RElement)
+    assert r_normalize(raw).plain == pe("[1|]")
+    with pytest.raises(LevelMismatch):
+        parse_relement("0", level=2)
