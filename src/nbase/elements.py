@@ -18,14 +18,16 @@ position maps (phi for x's surviving factors, psi for y's) recording where
 every factor lands.  All values are immutable; every function is pure.
 
 Elements are hash-consed: every construction looks the value up in one
-intern table, so each distinct value is built and validated once per
-process and two equal elements are the same object (``==`` and the hash
-are identity).  A value, once built, lives for the process, as compose
-results do.
+intern table, so each distinct value is built once per process and two
+equal elements are the same object (``==`` and the hash are identity).  A
+value, once built, lives for the process, as compose results do.  A new
+value is validated, except internal outputs (of compose, graft, normalize
+and embed): those are trusted, and re-validated under ``NBASE_CHECK=1``.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import index
@@ -40,27 +42,30 @@ from .errors import (
     OrderViolation,
     RangeViolation,
     SizeBound,
+    TrustViolation,
 )
 
 # the checking constructor raises SizeBound for a level-1 arity above this
 MAX_ARITY = 100_000
+_CHECK = os.environ.get("NBASE_CHECK") == "1"
 
 
 class PlainElement:
     """Immutable level-tagged shape, interned.
 
-    Construction goes through ``__new__``: a value already in the intern
-    table is returned as it is; a new value is fully validated first and
-    stored only if valid.  Equal values are therefore one object for the
-    life of the process: equality and hash are both identity, computed in C.
+    ``__new__`` returns a value already in the intern table as it is, and
+    validates a new value fully before storing it (``_trusted`` stores
+    internal outputs unvalidated).  Equal values are one object for the
+    life of the process: equality and hash are identity, computed in C.
+    ``m`` counts entries: factors, the arity at level 1, 1 for the point.
     """
 
-    __slots__ = ("level", "arity", "factors", "indices", "_total")
+    __slots__ = ("level", "arity", "factors", "indices", "m", "_total")
 
     def __new__(cls, level, arity=None, factors=None, indices=None,
                 allow_zero=False):
         if level == 0 or level == 1:
-            if level == 1 and (not isinstance(arity, int)
+            if level == 1 and (type(arity) is not int
                                or arity < (0 if allow_zero else 1)):
                 raise RangeViolation("level-1 arity must be a positive integer, got %r" % (arity,))
             if level == 1 and arity > MAX_ARITY:
@@ -94,17 +99,6 @@ class PlainElement:
                  allow_zero=False):
         """Nothing to set (``__new__`` built it); kept for tracers to wrap."""
 
-    # -- basic structure -------------------------------------------------
-
-    @property
-    def m(self):
-        """Number of entries: factor count, arity at level 1, 1 for the point."""
-        if self.level == 0:
-            return 1
-        if self.level == 1:
-            return self.arity
-        return len(self.factors)
-
     def __repr__(self):
         from .grammar import format_element
         return "<%d:%s>" % (self.level, format_element(self))
@@ -135,7 +129,25 @@ def _new(cls, level, arity, factors, indices, total):
     self.arity = arity
     self.factors = factors
     self.indices = indices
+    self.m = len(factors) if level >= 2 else arity if level else 1
     self._total = total
+    return self
+
+
+def _trusted(level, factors, indices, total):
+    """Value of canonical tuples the package built, of known total: only check mode validates."""
+    key = (level, factors, indices)
+    self = _interned.get(key)
+    if self is None:
+        if _CHECK:
+            try:
+                found = _validate(level, factors, indices)
+            except Exception as exc:  # reported as what it validates to
+                found = exc
+            if found is not total:
+                raise TrustViolation("trusted %r, total %r, validates to %r" % (key, total, found))
+        self = _interned.setdefault(key, _new(
+            PlainElement, level, None, factors, indices, total))
     return self
 
 
@@ -313,17 +325,11 @@ def _compose(x, i, y):
             "G(y)=%r does not match slot %d of x (%r)"
             % (total_G(y), i, slots_F(x)[i - 1]))
 
-    raw_factors, raw_indices = _splice(x, i, y)
-    canonical, perm = _sort_sequence(n, list(raw_factors), list(raw_indices))
+    canonical, perm = _sort_sequence(n, *_splice(x, i, y), total=x._total)
     # raw order: x_1..x_{i-1}, y_1..y_l, x_{i+1}..x_k
-    phi = {}
-    psi = {}
-    for j in range(1, i):
-        phi[j] = perm[j - 1]
-    for k in range(1, y.m + 1):
-        psi[k] = perm[i - 1 + k - 1]
-    for j in range(i + 1, x.m + 1):
-        phi[j] = perm[y.m + j - 2]
+    phi = {j: perm[j - 1] if j < i else perm[y.m + j - 2]
+           for j in range(1, x.m + 1) if j != i}
+    psi = {k: perm[i + k - 2] for k in range(1, y.m + 1)}
     return canonical, ShuffleMap(i, x.m, y.m, phi, psi)
 
 
@@ -436,28 +442,35 @@ def normalize(g, strategy="left"):
     strategy picks which inversion to rewrite first ("left", "right", or
     "random:<seed>"); the outcome is strategy-independent.
     """
-    g.validate()
-    elem, perm = _sort_sequence(g.level, list(g.factors), list(g.indices),
-                                strategy=strategy)
-    return elem, perm
+    g.validate()  # then index types and factor levels: the output is trusted
+    try:
+        indices = tuple(map(index, g.indices))
+    except TypeError:
+        raise RangeViolation("graft indices must be integers, got %r" % (g.indices,)) from None
+    if any(not isinstance(f, PlainElement) or f.level != g.level - 1 for f in g.factors):
+        raise LevelMismatch("a level-%d sequence has level-%d factors" % (g.level, g.level - 1))
+    return _sort_sequence(g.level, g.factors, indices, strategy=strategy)
 
 
-def _sort_sequence(level, factors, indices, strategy="left"):
+def _sort_sequence(level, factors, indices, strategy="left", total=None):
     """Bubble the sequence canonical, tracking factor positions.
 
     The one swap-rule sort: ``_compose``, ``graft_at_slot`` at level >= 3
     and ``normalize`` call it.  The inversions are listed first: a sequence
     that has none is already canonical and comes back with the identity
     permutation before any partial composite is built (at level >= 3 each
-    partial is a compose).
+    partial is a compose).  The result is trusted with the given total or
+    the last partial, which no swap changes; with neither it is validated.
     """
     k = len(factors)
     # inversions: the sorted positions t with indices[t] > indices[t + 1];
     # a swap at t can only change the pairs at t - 1, t and t + 1
     inversions = [t for t in range(k - 2) if indices[t] > indices[t + 1]]
     if not inversions:
-        return (PlainElement(level, factors=factors, indices=indices),
+        return (_trusted(level, tuple(factors), tuple(indices), total) if total
+                else PlainElement(level, factors=factors, indices=indices),
                 tuple(range(1, k + 1)))
+    factors, indices = list(factors), list(indices)
     pos = list(range(k))  # pos[p] = input index of the factor now at p
     rng = None
     if strategy.startswith("random"):
@@ -507,7 +520,8 @@ def _sort_sequence(level, factors, indices, strategy="left"):
             elif listed:
                 del inversions[j]
 
-    elem = PlainElement(level, factors=factors, indices=indices)
+    elem = _trusted(level, tuple(factors), tuple(indices), total or (
+        corolla(partial[-1], allow_zero=True) if level == 2 else partial[-1]))
     perm = [0] * k
     for p, orig in enumerate(pos):
         perm[orig] = p + 1
@@ -566,9 +580,9 @@ def check_phi_short(x, i, y, j, k, t):
 
 def embed(y):
     """The single-factor element [y|] one level up (defined for level >= 1)."""
-    if y.level < 1:
+    if not isinstance(y, PlainElement) or y.level < 1:
         raise LevelMismatch("embed is defined for level >= 1 (the point has no single-factor image)")
-    return PlainElement(y.level + 1, factors=(y,), indices=())
+    return _trusted(y.level + 1, (y,), (), y)
 
 
 class GraftResult(NamedTuple):
@@ -600,6 +614,7 @@ def graft_at_slot(u, slot, v):
     W = total_G(u)
     if slot < 1 or slot > W.m:
         raise RangeViolation("slot %d outside 1..%d" % (slot, W.m))
+    slot = index(slot)  # the result is trusted: no bool in its indices
     if slots_F(W)[slot - 1] != total_G(total_G(v)):
         raise NotComposable(
             "total of the graft does not match slot %d of the base" % slot)
@@ -608,10 +623,11 @@ def graft_at_slot(u, slot, v):
         # u-factors 1..j keep their place: they graft at or left of the slot
         j = 1 + bisect_right(u.indices, slot)
         grown = total_G(v).arity - 1
-        elem = PlainElement(2, factors=u.factors[:j] + v.factors + u.factors[j:],
-                            indices=(u.indices[:j - 1] + (slot,)
-                                     + tuple(slot - 1 + q for q in v.indices)
-                                     + tuple(b + grown for b in u.indices[j - 1:])))
+        elem = _trusted(2, u.factors[:j] + v.factors + u.factors[j:],
+                        u.indices[:j - 1] + (slot,)
+                        + tuple(slot - 1 + q for q in v.indices)
+                        + tuple(b + grown for b in u.indices[j - 1:]),
+                        corolla(W.arity + grown, allow_zero=True))
         vm = len(v.factors)
         factor_phi = {t: t if t <= j else t + vm for t in range(1, u.m + 1)}
         factor_psi = {t: j + t for t in range(1, vm + 1)}
@@ -620,9 +636,9 @@ def graft_at_slot(u, slot, v):
         slot_psi = {r: slot - 1 + r for r in range(1, grown + 2)}
         return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
 
-    elem, perm = _sort_sequence(n, list(u.factors + v.factors),
-                                list(u.indices) + _graft_indices(W, slot, v))
-    sh = compose(W, slot, total_G(v))[1]
+    total, sh = compose(W, slot, total_G(v))
+    elem, perm = _sort_sequence(n, u.factors + v.factors, list(u.indices)
+                                + _graft_indices(W, slot, v), total=total)
     return GraftResult(elem, {t: perm[t - 1] for t in range(1, u.m + 1)},
                        {t: perm[u.m + t - 1] for t in range(1, v.m + 1)},
                        sh.phi, sh.psi)

@@ -63,3 +63,7 @@ class NotImplementedLevel(NBaseError):
 
 class ParseError(NBaseError):
     """Malformed element or ordinal literal."""
+
+
+class TrustViolation(NBaseError):
+    """Under NBASE_CHECK=1, a trusted construction failed full validation."""

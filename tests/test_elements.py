@@ -37,6 +37,7 @@ from nbase.errors import (
     NotComposable,
     OrderViolation,
     RangeViolation,
+    TrustViolation,
 )
 from nbase.grammar import element_from_json, element_to_json, parse_element
 from nbase.randgen import random_gamma
@@ -45,6 +46,35 @@ from nbase.trees import from_tree, to_tree
 
 def pe(text, **kw):
     return parse_element(text, **kw)
+
+
+def run_python(code, *flags, env=None):
+    """Stdout words of ``python *flags -c code`` on this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+# one value of each trusted kind, none of them built anywhere else: a
+# level-2 compose, a level-2 graft (splice), a level-3 graft whose sort
+# builds partials, an embedding, and a normalize with an inversion at
+# levels 2 and 3
+def trusted_outputs():
+    u3 = pe("[[411,2|1],[2|]|2]")
+    raw3 = GammaSequence(3, (pe("[425,2|1]"), pe("[2,1|1]"), pe("[424,2|1]")), (2, 1))
+    return [
+        lambda: compose(pe("[413,2,2|1,2]"), 2, pe("[2,1|1]"))[0],
+        lambda: graft_at_slot(pe("[419,2|3]"), 2, pe("[2,1|1]")).element,
+        lambda: graft_at_slot(u3, 1, pe("[[411|]|]")).element,
+        lambda: embed(corolla(421)),
+        lambda: normalize(GammaSequence(2, (corolla(417), corolla(2), corolla(3)),
+                                        (5, 1)))[0],
+        lambda: normalize(raw3)[0],
+    ]
 
 
 class TestValidate:
@@ -490,6 +520,79 @@ class TestInterning:
                 encode(beta, n)
             gc.collect()
         assert calls == []
+
+    def test_a_bool_arity_is_refused_and_leaves_corolla_1_alone(self):
+        # in a fresh process, where corolla 1 is not interned yet
+        code = ("from nbase.elements import PlainElement, corolla\n"
+                "from nbase.errors import RangeViolation\n"
+                "for build in (lambda: PlainElement(1, arity=True),\n"
+                "              lambda: corolla(True),\n"
+                "              lambda: corolla(False, allow_zero=True)):\n"
+                "    try:\n"
+                "        build()\n"
+                "    except RangeViolation:\n"
+                "        print('refused')\n"
+                "from nbase.grammar import element_to_json, format_element\n"
+                "print(format_element(corolla(1)), element_to_json(corolla(1))['arity'])\n")
+        assert run_python(code) == ["refused"] * 3 + ["1", "1"]
+
+    def test_check_mode_refuses_a_wrong_trusted_total(self, monkeypatch):
+        assert elements._CHECK  # conftest.py sets NBASE_CHECK=1
+        outputs = trusted_outputs()
+        trusted = elements._trusted
+        monkeypatch.setattr(
+            elements, "_trusted",
+            lambda level, factors, indices, total: trusted(level, factors, indices, POINT))
+        for build in outputs:
+            with pytest.raises(TrustViolation):
+                build()
+
+    def test_check_mode_refuses_a_wrong_trusted_total_under_optimize(self):
+        code = ("from nbase import elements\n"
+                "from nbase.errors import TrustViolation\n"
+                "from nbase.grammar import parse_element as pe\n"
+                "x, y = pe('[423,2,2|1,2]'), pe('[2,1|1]')\n"
+                "trusted = elements._trusted\n"
+                "elements._trusted = lambda level, factors, indices, total: trusted(\n"
+                "    level, factors, indices, elements.POINT)\n"
+                "print(__debug__, elements._CHECK)\n"
+                "try:\n"
+                "    elements.compose(x, 2, y)\n"
+                "except TrustViolation:\n"
+                "    print('refused')\n")
+        env = dict(os.environ, NBASE_CHECK="1")
+        assert run_python(code, "-O", env=env) == ["False", "True", "refused"]
+
+    def test_trusted_producers_refuse_what_validation_would(self):
+        # these outputs skip validation, so their public inputs are checked
+        two = corolla(2)
+        with pytest.raises(RangeViolation):  # 1.0 == 1 would match a key
+            normalize(GammaSequence(2, (corolla(427), two, two), (2.0, 1)))
+        with pytest.raises(LevelMismatch):
+            normalize(GammaSequence(3, (corolla(429), two, two), (2, 1)))
+        with pytest.raises(LevelMismatch):
+            embed(GammaSequence(2, (corolla(431),), ()))
+        g = graft_at_slot(pe("[433,2|5]"), True, pe("[2|]")).element
+        assert [type(b) for b in g.indices] == [int, int]
+        assert g is pe("[433,2,2|1,6]")
+
+    def test_trusted_outputs_are_not_validated_outside_check_mode(self, monkeypatch):
+        outputs = trusted_outputs()
+        calls = []
+        validate = elements._validate
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(elements, "_validate", counted)
+        monkeypatch.setattr(elements, "_CHECK", False)
+        before = len(elements._interned)
+        built = [build() for build in outputs]
+        assert calls == []
+        assert len(elements._interned) >= before + len(built)  # all new
+        for x in built:  # the totals they carry are the validated ones
+            assert validate(x.level, x.factors, x.indices) is total_G(x)
 
 
 def test_structural_equality_and_hash():

@@ -10,7 +10,10 @@ recorded while ``parse_ordinal`` still recursed per parenthesis.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 from nbase import ordinals
 from nbase.elements import graft_at_slot, slots_F, total_G
@@ -118,3 +121,26 @@ def test_parse_ordinal_over_mutants_of_the_criterion_8_notations():
     assert len(lines) == 8000
     assert digest(lines) == (
         "da86cfcc65ba3fd416dc76d6836c1563b0c65f4e8bf38d91a5101543907cc171")
+
+
+def test_the_digests_hold_without_check_mode():
+    # the suite runs in check mode (see conftest.py); a user's process does
+    # not, so there the outputs of compose, graft, normalize and embed are
+    # trusted unvalidated: every digest above must come out the same
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {k: v for k, v in os.environ.items() if k != "NBASE_CHECK"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [here, os.path.join(os.path.dirname(here), "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    names = sorted(name for name in globals() if name.startswith("test_")
+                   and name != "test_the_digests_hold_without_check_mode")
+    code = ("import test_seeded_streams as streams\n"
+            "from nbase import elements\n"
+            "print(elements._CHECK)\n"
+            "for name in %r:\n"
+            "    getattr(streams, name)()\n"
+            "    print(name)\n" % (names,))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] + names
