@@ -16,6 +16,8 @@ Composition ``compose(x, i, y)`` substitutes y for the i-th factor of x and
 returns, besides the canonical result, the pair of strictly increasing
 position maps (phi for x's surviving factors, psi for y's) recording where
 every factor lands.  All values are immutable; every function is pure.
+A raw sequence, grafts in any order, normalizes to the order that the
+swap rule reaches; it is read off the slot each factor fills.
 
 Elements are hash-consed: every construction looks the value up in one
 intern table, so each distinct value is built once per process and two
@@ -28,9 +30,8 @@ and embed): those are trusted, and re-validated under ``NBASE_CHECK=1``.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
-from operator import index
+from bisect import bisect_right
+from operator import index, le
 from typing import NamedTuple
 
 from .errors import (
@@ -43,6 +44,7 @@ from .errors import (
     RangeViolation,
     SizeBound,
     TrustViolation,
+    UnknownStrategy,
 )
 
 # the checking constructor raises SizeBound for a level-1 arity above this
@@ -218,6 +220,7 @@ class GammaSequence(NamedTuple):
     indices: tuple
 
     def validate(self):
+        """The sequence, its indices made ints, if each graft is valid."""
         if self.level < 2:
             raise LevelMismatch("raw sequences live at level >= 2")
         if len(self.indices) != len(self.factors) - 1:
@@ -225,10 +228,18 @@ class GammaSequence(NamedTuple):
                 "expected %d graft indices for %d factors, got %d"
                 % (len(self.factors) - 1, len(self.factors), len(self.indices)))
         try:
-            _check_sequence(self.factors, self.indices)
+            # the intern key compares indices with ==, under which 1.0 == 1
+            indices = tuple(map(index, self.indices))
+        except TypeError:
+            raise RangeViolation("graft indices must be integers: %r" % (self.indices,)) from None
+        try:
+            _check_sequence(self.factors, indices)
         except (RangeViolation, MatchViolation) as exc:
             raise InvalidSequence(str(exc)) from exc
-        return self
+        if any(not isinstance(f, PlainElement) or f.level != self.level - 1 for f in self.factors):
+            raise LevelMismatch("a level-%d sequence has level-%d factors"
+                                % (self.level, self.level - 1))
+        return self._replace(indices=indices)
 
 
 def _check_sequence(factors, indices):
@@ -433,99 +444,53 @@ def provenance(x):
 def normalize(g, strategy="left"):
     """Sort a raw application sequence into canonical form.
 
-    Adjacent out-of-order grafts are rewritten with the swap rule: applying
-    gamma at b and then at a < b equals applying gamma at a first and then at
-    phi^(w,a,u)(b), where w is the partial composite before the pair and u
-    the factor moved in at a.  Returns the canonical element and the map
-    input factor position -> canonical position (1-based tuple).
-
-    strategy picks which inversion to rewrite first ("left", "right", or
-    "random:<seed>"); the outcome is strategy-independent.
+    Returns the canonical element and the map input factor position ->
+    canonical position (1-based tuple).  The swap rule rewrites adjacent
+    out-of-order grafts in an order that ``strategy`` names ("left",
+    "right" or "random:<seed>"), and every order ends here (``selftest``
+    checks this against a swap-rule rewriter); so the name is only
+    checked, and the order is read off the attachments (``_sort_sequence``).
     """
-    g.validate()  # then index types and factor levels: the output is trusted
-    try:
-        indices = tuple(map(index, g.indices))
-    except TypeError:
-        raise RangeViolation("graft indices must be integers, got %r" % (g.indices,)) from None
-    if any(not isinstance(f, PlainElement) or f.level != g.level - 1 for f in g.factors):
-        raise LevelMismatch("a level-%d sequence has level-%d factors" % (g.level, g.level - 1))
-    return _sort_sequence(g.level, g.factors, indices, strategy=strategy)
+    if strategy not in ("left", "right", "random") and not str(strategy).startswith("random:"):
+        raise UnknownStrategy("unknown strategy %r (left, right, random:<seed>)" % (strategy,))
+    g = g.validate()
+    return _sort_sequence(g.level, g.factors, g.indices)
 
 
-def _sort_sequence(level, factors, indices, strategy="left", total=None):
-    """Bubble the sequence canonical, tracking factor positions.
+def _sort_sequence(level, factors, indices, total=None):
+    """Canonical order of a valid graft sequence, with its permutation.
 
-    The one swap-rule sort: ``_compose``, ``graft_at_slot`` at level >= 3
-    and ``normalize`` call it.  The inversions are listed first: a sequence
-    that has none is already canonical and comes back with the identity
-    permutation before any partial composite is built (at level >= 3 each
-    partial is a compose).  The result is trusted with the given total or
-    the last partial, which no swap changes; with neither it is validated.
+    ``_compose``, ``graft_at_slot`` at level >= 3 and ``normalize`` call
+    it.  Every order of the grafts builds one nested tree, each factor in
+    one slot of an earlier factor, which the swap rule never changes.  A
+    sequence with no inversion is canonical and comes back as it is.
+    Otherwise a raw trace records the slot label each factor consumed; a
+    second trace from the head grafts, again and again, the factor waiting
+    on its leftmost labelled slot.  Slots left of a graft never move, so
+    the scan resumes there and the indices come out nondecreasing.  The
+    result is trusted with the given total or the last partial; with
+    neither, a canonical input is validated.
     """
-    k = len(factors)
-    # inversions: the sorted positions t with indices[t] > indices[t + 1];
-    # a swap at t can only change the pairs at t - 1, t and t + 1
-    inversions = [t for t in range(k - 2) if indices[t] > indices[t + 1]]
-    if not inversions:
+    if all(map(le, indices, indices[1:])):
         return (_trusted(level, tuple(factors), tuple(indices), total) if total
                 else PlainElement(level, factors=factors, indices=indices),
-                tuple(range(1, k + 1)))
-    factors, indices = list(factors), list(indices)
-    pos = list(range(k))  # pos[p] = input index of the factor now at p
-    rng = None
-    if strategy.startswith("random"):
-        import random as _random
-        seed = strategy.split(":", 1)[1] if ":" in strategy else "0"
-        rng = _random.Random(seed)
-
-    # partial[t] = executed composite of factors[0..t]; at level 2 it is a
-    # corolla and only its arity is kept
-    if level == 2:
-        partial = list(accumulate((f.arity - 1 for f in factors[1:]),
-                                  initial=factors[0].arity))
-    else:
-        partial = [factors[0]]
-        for t in range(1, k):
-            partial.append(_execute(partial[t - 1], indices[t - 1], factors[t]))
-
-    while inversions:
-        if strategy == "left":
-            t = inversions[0]
-        elif strategy == "right":
-            t = inversions[-1]
-        else:
-            t = rng.choice(inversions)
-        b, a = indices[t], indices[t + 1]
-        u, v = factors[t + 1], factors[t + 2]
-        w = partial[t]
-        # v moves left to slot a; u is re-indexed by the shuffle of (w, a, v)
-        if level == 2:
-            # the level-1 shuffle of (w, a, v), as in _compose: b > a moves
-            # right by v's arity - 1
-            indices[t + 1] = b + v.arity - 1
-            partial[t + 1] = w + v.arity - 1
-        else:
-            partial[t + 1], sh = compose(w, a, v)
-            indices[t + 1] = sh.phi[b]
-        indices[t] = a
-        factors[t + 1], factors[t + 2] = v, u
-        pos[t + 1], pos[t + 2] = pos[t + 2], pos[t + 1]
-        # partial[t + 2] is unchanged by the rewrite
-        for s in range(max(t - 1, 0), min(t + 2, k - 2)):
-            j = bisect_left(inversions, s)
-            listed = j < len(inversions) and inversions[j] == s
-            if indices[s] > indices[s + 1]:
-                if not listed:
-                    inversions.insert(j, s)
-            elif listed:
-                del inversions[j]
-
-    elem = _trusted(level, tuple(factors), tuple(indices), total or (
-        corolla(partial[-1], allow_zero=True) if level == 2 else partial[-1]))
-    perm = [0] * k
-    for p, orig in enumerate(pos):
-        perm[orig] = p + 1
-    return elem, tuple(perm)
+                tuple(range(1, len(factors) + 1)))
+    trace = _Trace(factors[0], 1)
+    child = {trace.graft(idx, f, t): t
+             for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2)}
+    trace = _Trace(factors[0], 1)
+    order, canon, s = [factors[0]], [], 0
+    perm = [1] + [0] * len(child)
+    while child:
+        while trace.labels[s] not in child:
+            s += 1
+        t = child.pop(trace.labels[s])
+        trace.graft(s + 1, factors[t - 1], t)
+        order.append(factors[t - 1])
+        canon.append(s + 1)
+        perm[t - 1] = len(order)
+    return _trusted(level, tuple(order), tuple(canon), total or (
+        trace.partial or corolla(len(trace.labels), allow_zero=True))), tuple(perm)
 
 
 # -- shuffles and axioms -------------------------------------------------

@@ -67,3 +67,7 @@ class ParseError(NBaseError):
 
 class TrustViolation(NBaseError):
     """Under NBASE_CHECK=1, a trusted construction failed full validation."""
+
+
+class UnknownStrategy(NBaseError):
+    """normalize was given a rewriting-strategy name it does not know."""

@@ -12,14 +12,18 @@ from dataclasses import dataclass, field
 
 from . import ordinals
 from .elements import (
+    GammaSequence,
     check_associativity,
     check_phi_long,
     check_phi_short,
     compose,
+    make,
     normalize,
+    shuffle,
     total_G,
 )
 from .enumeration import catalan, count_binary, enumerate_elements
+from .errors import UnknownStrategy
 from .grammar import format_element
 from .morphisms import complete_square, enumerate_morphisms
 from .presentations import symmetric_presentation, todd_coxeter, verify_symmetric_realization
@@ -142,24 +146,51 @@ def suite_oracle(seed, size):
     return rep
 
 
-def suite_confluence(seed, size):
-    from .elements import GammaSequence
+def swap_normalize(g, strategy="left"):
+    """The swap rule, rewritten to the end: the reference for ``normalize``.
 
+    Grafting at b and then at a < b equals grafting at a first and then at
+    phi^(w,a,v)(b), w the partial composite before the pair and v the
+    factor moved to a.  strategy picks the inversion to rewrite ("left",
+    "right" or "random:<seed>"); each pass rebuilds the partials.
+    """
+    g = g.validate()
+    factors, indices, pos = list(g.factors), list(g.indices), list(range(len(g.factors)))
+    if strategy not in ("left", "right", "random") and not str(strategy).startswith("random:"):
+        raise UnknownStrategy("no swap-rule strategy %r" % (strategy,))
+    rng = random.Random(strategy.partition(":")[2] or "0")
+    while True:
+        inversions = [t for t in range(len(indices) - 1) if indices[t] > indices[t + 1]]
+        if not inversions:
+            break
+        t = (inversions[0] if strategy == "left" else inversions[-1] if strategy == "right"
+             else rng.choice(inversions))
+        w = factors[0]
+        for f, b in zip(factors[1:t + 1], indices):
+            w = compose(w, b, f)[0]
+        b, a = indices[t:t + 2]
+        indices[t:t + 2] = a, shuffle(w, a, factors[t + 2]).phi[b]
+        factors[t + 1:t + 3] = factors[t + 2], factors[t + 1]
+        pos[t + 1:t + 3] = pos[t + 2], pos[t + 1]
+    return make(g.level, factors, indices), tuple(
+        p + 1 for p in sorted(range(len(pos)), key=pos.__getitem__))
+
+
+def suite_confluence(seed, size):
     rep = SuiteReport("confluence")
     cfg = _SIZES[size]
     rng = random.Random(seed)
     for level in (2, 3):
         for _ in range(cfg["gammas"]):
             g = random_gamma(level, rng, steps=4)
-            e1, p1 = normalize(g, "left")
-            e2, p2 = normalize(g, "right")
-            e3, p3 = normalize(g, "random:%d" % rng.randint(0, 10 ** 6))
-            rep.check(e1 == e2 == e3 and p1 == p2 == p3,
-                      lambda: "confluence level %d %r" % (level, g))
+            want = normalize(g)
+            for strategy in ("left", "right", "random:%d" % rng.randint(0, 10 ** 6)):
+                rep.check(swap_normalize(g, strategy) == want,
+                          lambda: "confluence %s level %d %r" % (strategy, level, g))
             again, p_again = normalize(
-                GammaSequence(e1.level, e1.factors, e1.indices), "left")
-            rep.check(again == e1 and p_again == tuple(range(1, e1.m + 1)),
-                      lambda: "idempotence %s" % format_element(e1))
+                GammaSequence(level, want[0].factors, want[0].indices))
+            rep.check(again == want[0] and p_again == tuple(range(1, again.m + 1)),
+                      lambda: "idempotence %s" % format_element(again))
     return rep
 
 

@@ -38,9 +38,11 @@ from nbase.errors import (
     OrderViolation,
     RangeViolation,
     TrustViolation,
+    UnknownStrategy,
 )
 from nbase.grammar import element_from_json, element_to_json, parse_element
 from nbase.randgen import random_gamma
+from nbase.selftest import swap_normalize
 from nbase.trees import from_tree, to_tree
 
 
@@ -264,6 +266,103 @@ class TestNormalize:
                     tuple(positions))
             for strategy in ("left", "right", "random:%d" % rng.randrange(10 ** 6)):
                 assert normalize(g, strategy) == want
+
+
+class TestCanonicalOrder:
+    """normalize against the swap rule, its refusals and its work bound."""
+
+    STRATEGIES = ("left", "right", "random:5")
+
+    def agree(self, g):
+        want = normalize(g)
+        for strategy in self.STRATEGIES:
+            assert swap_normalize(g, strategy) == want, (g, strategy)
+        return want
+
+    def test_reference_on_criterion_4_sequences(self):
+        # the 2000 sequences of criterion 4, drawn from the same stream
+        for level, seed in ((2, 41), (3, 42)):
+            rng = random.Random(seed)
+            for _ in range(1000):
+                self.agree(random_gamma(level, rng, steps=4))
+                rng.randint(0, 10 ** 6)
+
+    @pytest.mark.parametrize("level,top", [(2, 64), (3, 48), (4, 10)])
+    def test_reference_on_long_sequences(self, level, top):
+        rng = random.Random(level * 1000 + top)
+        inverted = 0
+        for k in sorted({2, 3, 5, 8, top // 4, top // 2, top}):
+            for _ in range(3):
+                g = random_gamma(level, rng, steps=k)
+                inverted += any(a > b for a, b in zip(g.indices, g.indices[1:]))
+                self.agree(g)
+        assert inverted >= 10
+
+    def test_reference_on_reversed_fans(self):
+        for k in (8, 64):
+            self.agree(GammaSequence(2, (corolla(k),) + (corolla(2),) * k,
+                                     tuple(range(k, 0, -1))))
+        head = pe("[%s|%s]" % (",".join(["2"] * 9), ",".join(map(str, range(1, 9)))))
+        for piece in ("[2|]", "[2,1|1]"):
+            self.agree(GammaSequence(3, (head,) + (pe(piece),) * 9, tuple(range(9, 0, -1))))
+
+    def test_equal_factors_are_ordered_by_their_attachments(self):
+        two = corolla(2)
+        # 2 on prong 3 of the head, 3 on prong 1, 4 on the second prong of 3
+        g = GammaSequence(2, (corolla(3), two, two, two), (3, 1, 2))
+        assert self.agree(g) == (pe("[3,2,2,2|1,2,5]"), (1, 4, 2, 3))
+        # [2|] keeps the slot it fills, so the raw indices say which slot each fills
+        unit = pe("[2|]")
+        g = GammaSequence(3, (pe("[2,2,2|1,2]"), unit, unit, unit), (3, 2, 1))
+        assert self.agree(g) == (pe("[[2,2,2|1,2],[2|],[2|],[2|]|1,2,3]"), (1, 4, 3, 2))
+        split = pe("[2,1|1]")
+        g = GammaSequence(3, (pe("[2,2|1]"), split, unit, split, unit), (2, 2, 1, 1))
+        assert self.agree(g) == (pe("[[2,2|1],[2,1|1],[2|],[2,1|1],[2|]|1,1,3,3]"),
+                                 (1, 4, 5, 2, 3))
+
+    def test_an_unknown_strategy_is_refused(self):
+        two = corolla(2)
+        for indices in ((2, 1), (1, 2)):  # also when there is nothing to sort
+            g = GammaSequence(2, (two, two, two), indices)
+            for strategy in ("foo", None, "randomly", ""):
+                with pytest.raises(UnknownStrategy):
+                    normalize(g, strategy)
+                with pytest.raises(UnknownStrategy):
+                    swap_normalize(g, strategy)
+            assert len({normalize(g, s) for s in ("left", "right", "random", "random:9")}) == 1
+
+    def test_validate_refuses_wrong_level_factors_and_non_int_indices(self):
+        two = corolla(2)
+        with pytest.raises(LevelMismatch):
+            GammaSequence(3, (two, two), (1,)).validate()
+        with pytest.raises(RangeViolation):
+            GammaSequence(2, (two, two), (1.0,)).validate()
+        with pytest.raises(RangeViolation):
+            GammaSequence(2, (two, two), ("1",)).validate()
+        g = GammaSequence(2, (two, two, two), (True, 1)).validate()
+        assert g == (2, (two, two, two), (1, 1))
+        assert [type(b) for b in g.indices] == [int, int]
+
+    def test_level3_sort_composes_at_most_twice_per_graft(self, monkeypatch):
+        # compose work from an empty memo: each pass over the k factors
+        # makes k - 1 compositions, where the swap rule made one per swap
+        calls = []
+        work = elements._compose
+
+        def counted(*args):
+            calls.append(1)
+            return work(*args)
+
+        monkeypatch.setattr(elements, "_compose", counted)
+        head = pe("[%s|%s]" % (",".join(["2"] * 25), ",".join(map(str, range(1, 25)))))
+        rng = random.Random(3)
+        sequences = [GammaSequence(3, (head,) + (pe("[2,1|1]"),) * 24, tuple(range(25, 1, -1)))]
+        sequences += [random_gamma(3, rng, steps=k) for k in (4, 16, 48) for _ in range(5)]
+        for g in sequences:
+            monkeypatch.setattr(elements, "_compose_cache", {})
+            calls.clear()
+            normalize(g)
+            assert len(calls) <= 2 * (len(g.factors) - 1), g
 
 
 class TestShuffleMapCheck:
