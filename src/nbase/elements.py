@@ -16,15 +16,16 @@ Composition ``compose(x, i, y)`` substitutes y for the i-th factor of x and
 returns, besides the canonical result, the pair of strictly increasing
 position maps (phi for x's surviving factors, psi for y's) recording where
 every factor lands.  All values are immutable; every function is pure.
-A raw sequence, grafts in any order, normalizes to the order that the
-swap rule reaches; it is read off the slot each factor fills.
+Every order of the grafts builds one tree: each factor fills one slot of
+an earlier factor.  ``_tree`` reads it off a sequence as child lists, and
+``walk`` writes it back as the canonical element, at every level.
 
 Elements are hash-consed: every construction looks the value up in one
 intern table, so each distinct value is built once per process and two
 equal elements are the same object (``==`` and the hash are identity).  A
 value, once built, lives for the process, as compose results do.  A new
-value is validated, except internal outputs (of compose, graft, normalize
-and embed): those are trusted, and re-validated under ``NBASE_CHECK=1``.
+value is validated, except internal outputs (of compose, graft, normalize,
+embed and walk): those are trusted, and re-validated under ``NBASE_CHECK=1``.
 """
 
 from __future__ import annotations
@@ -232,11 +233,13 @@ class GammaSequence(NamedTuple):
             indices = tuple(map(index, self.indices))
         except TypeError:
             raise RangeViolation("graft indices must be integers: %r" % (self.indices,)) from None
+        if not all(isinstance(f, PlainElement) for f in self.factors):
+            raise LevelMismatch("raw sequence factors must be elements: %r" % (self.factors,))
         try:
             _check_sequence(self.factors, indices)
         except (RangeViolation, MatchViolation) as exc:
             raise InvalidSequence(str(exc)) from exc
-        if any(not isinstance(f, PlainElement) or f.level != self.level - 1 for f in self.factors):
+        if any(f.level != self.level - 1 for f in self.factors):
             raise LevelMismatch("a level-%d sequence has level-%d factors"
                                 % (self.level, self.level - 1))
         return self._replace(indices=indices)
@@ -424,19 +427,68 @@ def _graft_indices(W, slot, v):
     return indices
 
 
-def provenance(x):
-    """Where each graft of x went and where each slot of its total came from.
+def _tree(factors, indices):
+    """The child lists (``trees.to_tree``) of a valid graft sequence, from
+    one raw trace; every graft order gives the same lists, since the swap
+    rule changes indices, never the slot a factor fills."""
+    trace = _Trace(factors[0], 1)
+    children = [[0] * f.m for f in factors]
+    for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2):
+        s, r = trace.graft(idx, f, t)
+        children[s - 1][r - 1] = t
+    for n, (s, r) in enumerate(trace.labels, start=1):
+        children[s - 1][r - 1] = -n
+    return children
 
-    Returns ``(parents, labels)``: ``parents[t - 2]`` is the label of the
-    slot factor t was grafted into and ``labels[p - 1]`` that of slot p of
-    ``total_G(x)``, where label ``(s, r)`` names slot r of factor s.  At
-    level 2 these are the parent node and prong of each node of the tree.
+
+def walk(factors, children, root=1):
+    """Canonical element of the child lists below factor ``root``.
+
+    Each factor grafts into the leftmost slot of the partial composite
+    that holds a child.  Returns the element, trusted with the total the
+    walk builds, and the entries it reached, in that order, each mapped to
+    its place: a node to its canonical position, a leaf to its slot of the
+    total.  At level 2 the rule is preorder, one stack pass, each node
+    grafting into the slot after the leaves passed so far; a node must have
+    one entry per prong.  Above, a trace from the root scans its slots:
+    slots left of a graft never move, so the scan resumes there and the
+    indices come out nondecreasing.
     """
-    trace = _Trace(x.factors[0], 1)
-    graft = trace.graft
-    parents = [graft(idx, f, t) for t, (f, idx)
-               in enumerate(zip(x.factors[1:], x.indices), start=2)]
-    return parents, trace.labels
+    head = factors[root - 1]
+    reached, out, indices = {root: 1}, [head], []
+    if head.level == 1:
+        stack, passed = [root], 0
+        while stack:
+            t = stack.pop()
+            if t < 0:
+                passed += 1
+                reached[t] = passed
+                continue
+            f, entries = factors[t - 1], children[t - 1]
+            if len(entries) != f.arity:
+                raise MatchViolation("node %d has %d entries but %d prongs"
+                                     % (t, len(entries), f.arity))
+            if t != root:
+                indices.append(passed + 1)
+                out.append(f)
+                reached[t] = len(out)
+            stack.extend(reversed(entries))
+        total = corolla(passed, allow_zero=True)
+    else:
+        trace, s = _Trace(head, root), 0
+        while s < len(trace.labels):
+            tag, r = trace.labels[s]
+            t = children[tag - 1][r - 1]
+            if t > 0:
+                trace.graft(s + 1, factors[t - 1], t)
+                indices.append(s + 1)
+                out.append(factors[t - 1])
+                reached[t] = len(out)
+            else:
+                s += 1
+                reached[t] = s
+        total = trace.partial
+    return _trusted(head.level + 1, tuple(out), tuple(indices), total), reached
 
 
 # -- normalization -------------------------------------------------------
@@ -461,36 +513,16 @@ def _sort_sequence(level, factors, indices, total=None):
     """Canonical order of a valid graft sequence, with its permutation.
 
     ``_compose``, ``graft_at_slot`` at level >= 3 and ``normalize`` call
-    it.  Every order of the grafts builds one nested tree, each factor in
-    one slot of an earlier factor, which the swap rule never changes.  A
-    sequence with no inversion is canonical and comes back as it is.
-    Otherwise a raw trace records the slot label each factor consumed; a
-    second trace from the head grafts, again and again, the factor waiting
-    on its leftmost labelled slot.  Slots left of a graft never move, so
-    the scan resumes there and the indices come out nondecreasing.  The
-    result is trusted with the given total or the last partial; with
-    neither, a canonical input is validated.
+    it.  A sequence with no inversion is canonical and comes back as it
+    is, trusted with the given total, else validated.  Otherwise the order
+    is the ``walk`` of its child lists.
     """
     if all(map(le, indices, indices[1:])):
         return (_trusted(level, tuple(factors), tuple(indices), total) if total
                 else PlainElement(level, factors=factors, indices=indices),
                 tuple(range(1, len(factors) + 1)))
-    trace = _Trace(factors[0], 1)
-    child = {trace.graft(idx, f, t): t
-             for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2)}
-    trace = _Trace(factors[0], 1)
-    order, canon, s = [factors[0]], [], 0
-    perm = [1] + [0] * len(child)
-    while child:
-        while trace.labels[s] not in child:
-            s += 1
-        t = child.pop(trace.labels[s])
-        trace.graft(s + 1, factors[t - 1], t)
-        order.append(factors[t - 1])
-        canon.append(s + 1)
-        perm[t - 1] = len(order)
-    return _trusted(level, tuple(order), tuple(canon), total or (
-        trace.partial or corolla(len(trace.labels), allow_zero=True))), tuple(perm)
+    elem, reached = walk(factors, _tree(factors, indices))
+    return elem, tuple([reached[t] for t in range(1, len(factors) + 1)])
 
 
 # -- shuffles and axioms -------------------------------------------------
@@ -630,33 +662,16 @@ class HeadForm(NamedTuple):
 def decompose_head(z):
     """Split z into its first factor and the subtrees grafted into its slots.
 
-    Each remaining factor is assigned to the attachment owning the slot it
-    grafts into, read off a slot-provenance trace over z; slots come out
-    strictly increasing and recomposition reproduces z.
+    Each child of the head in z's child lists roots one attachment, the
+    ``walk`` below it; slots come out strictly increasing and
+    recomposition reproduces z.
     """
     if z.level < 2:
         raise LevelMismatch("head decomposition needs level >= 2")
-    head = z.factors[0]
-    trace = _Trace(head, 1)
-    owner = {1: None}   # factor position -> attachment number, None: head
-    atts = []           # [slot, factors, indices, positions] per attachment
-    for t, (f, idx) in enumerate(zip(z.factors[1:], z.indices), start=2):
-        before = trace.labels[:idx - 1]
-        src, r = trace.graft(idx, f, t)
-        a = owner[src]
-        if a is None:
-            owner[t] = len(atts)
-            atts.append([r, [f], [], [t]])
-        else:
-            # the local slot is the rank among the attachment's own slots,
-            # which keep their order in the partial
-            owner[t] = a
-            atts[a][2].append(1 + sum(owner[s] == a for s, _ in before))
-            atts[a][1].append(f)
-            atts[a][3].append(t)
-
-    result = sorted((Attachment(slot, PlainElement(z.level, factors=fs,
-                                                   indices=ix), tuple(ps))
-                     for slot, fs, ix, ps in atts), key=lambda att: att.slot)
-    return HeadForm(head, tuple(result))
-
+    children = _tree(z.factors, z.indices)
+    attachments = []
+    for slot, t in enumerate(children[0], start=1):
+        if t > 0:
+            elem, reached = walk(z.factors, children, t)
+            attachments.append(Attachment(slot, elem, tuple([u for u in reached if u > 0])))
+    return HeadForm(z.factors[0], tuple(attachments))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 
-from .elements import PlainElement, compose, provenance
+from .elements import PlainElement, compose
 from .errors import (
     DegreeMismatch,
     LevelMismatch,
@@ -32,16 +32,16 @@ from .errors import (
     RangeViolation,
     SizeBound,
 )
-from .trees import walk
+from .trees import to_tree, walk
 
 # two_morphisms_between raises SizeBound above this many results
 MAX_TWO_MORPHISMS = 100_000
 
 
-def _check_perm(perm, degree, what):
+def _check_perm(perm, degree, what, *args):
     if sorted(perm) != list(range(1, degree + 1)):
         raise DegreeMismatch("%s must be a permutation of 1..%d, got %r"
-                             % (what, degree, perm))
+                             % (what % args, degree, perm))
 
 
 @dataclass(frozen=True)
@@ -154,27 +154,25 @@ class Square12:
 def apply_one(source, node_perms):
     """Reorder every node's child subtrees by its permutation.
 
-    ``trees.walk`` reads target, node_relabel and leaf_perm off the permuted
-    child lists in one iterative pass, linear in the tree whatever its height.
+    The source's child lists, each entry moved to its permuted prong, are
+    walked once (``trees.walk``): target, node_relabel and leaf_perm are
+    read off in one iterative pass, linear in the tree whatever its height.
     """
     if source.level != 2:
         raise LevelMismatch("one-morphisms act on level-2 elements")
     if len(node_perms) != source.m:
         raise DegreeMismatch("need one permutation per factor")
     node_perms = tuple(tuple(p) for p in node_perms)
-    for t, p in enumerate(node_perms, start=1):
-        _check_perm(p, source.factors[t - 1].arity, "permutation %d" % t)
-
-    # trees.to_tree of the source, each entry at its permuted prong
-    parents, leaves = provenance(source)
-    children = [[0] * f.arity for f in source.factors]
-    for t, (s, r) in enumerate(parents, start=2):
-        children[s - 1][node_perms[s - 1][r - 1] - 1] = t
-    for n, (s, r) in enumerate(leaves, start=1):
-        children[s - 1][node_perms[s - 1][r - 1] - 1] = -n
-    target, node_relabel, leaf_perm = walk(source.factors, children, len(leaves))
-    return OneMor2(source, node_perms, target, tuple(leaf_perm),
-                   tuple(node_relabel))
+    children = to_tree(source)
+    for t, (p, entries) in enumerate(zip(node_perms, children), start=1):
+        _check_perm(p, len(entries), "permutation %d", t)
+        for c, q in zip(entries[:], p):  # each entry to its permuted prong
+            entries[q - 1] = c
+    target, reached = walk(source.factors, children)
+    leaves = len(reached) - source.m  # every node and leaf is reached
+    return OneMor2(source, node_perms, target,
+                   tuple([reached[-n] for n in range(1, leaves + 1)]),
+                   tuple([reached[t] for t in range(1, source.m + 1)]))
 
 
 def apply_two(source, sigma):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .elements import provenance
 from .errors import NotBinary, Overflow, RangeViolation, SizeBound
+from .trees import to_tree
 
 # symmetric_presentation builds n(n-1)/2 relators; a coset enumeration of
 # the n! cosets is out of reach long before this degree
@@ -259,8 +259,8 @@ def edge_structure(x):
         raise NotBinary("binary elements live at level 2")
     if any(f.arity != 2 for f in x.factors):
         raise NotBinary("all entries must have arity 2")
-    parents, _ = provenance(x)
-    edges = sorted((parent, t) for t, (parent, _) in enumerate(parents, 2))
+    edges = sorted((s, t) for s, entries in enumerate(to_tree(x), start=1)
+                   for t in entries if t > 0)
     incidence = {}
     for num, (u, v) in enumerate(edges, start=1):
         incidence.setdefault(u, []).append(num)
