@@ -19,6 +19,8 @@ every factor lands.  All values are immutable; every function is pure.
 Every order of the grafts builds one tree: each factor fills one slot of
 an earlier factor.  ``_tree`` reads it off a sequence as child lists, and
 ``walk`` writes it back as the canonical element, at every level.
+``_hang`` hangs the trees of several elements at slots of one head and
+walks once: ``HeadForm.recompose`` and each level of ordinal encoding.
 
 Elements are hash-consed: every construction looks the value up in one
 intern table, so each distinct value is built once per process and two
@@ -652,11 +654,26 @@ class HeadForm(NamedTuple):
     attachments: tuple
 
     def recompose(self):
-        """Graft the attachments back into the embedded head (identity check)."""
-        z = embed(self.head)
-        for att in sorted(self.attachments, key=lambda a: -a.slot):
-            z = graft_at_slot(z, att.slot, att.element).element
-        return z
+        """Hang the attachments back on the embedded head (identity check)."""
+        return _hang(self.head, [(a.slot, a.element) for a in self.attachments])[0]
+
+
+def _hang(head, pairs):
+    """``walk`` of embed(head) with each (slot, v) pair's tree hung at that
+    slot: (element, reached).  Node 1 is the head, and v's factor t is node
+    t plus the factor counts of head and the pieces before v; v's leaves
+    are renumbered past those before, so that they stay distinct."""
+    factors, children, leaves = [head], [list(range(-1, -head.m - 1, -1))], head.m
+    for slot, v in pairs:
+        if not 1 <= slot <= head.m or children[0][slot - 1] > 0:
+            raise RangeViolation("slot %d is not a free slot of 1..%d" % (slot, head.m))
+        base = len(factors)
+        children[0][slot - 1] = base + 1
+        factors += v.factors
+        children += [[c + base if c > 0 else c - leaves for c in entries]
+                     for entries in _tree(v.factors, v.indices)]
+        leaves += v._total.m
+    return walk(factors, children)
 
 
 def decompose_head(z):

@@ -33,6 +33,10 @@ class InvalidSequence(NBaseError):
     """A raw application sequence violates range or matching at some step."""
 
 
+class InvalidTree(NBaseError):
+    """Child lists do not form one tree below node 1."""
+
+
 class InvalidShuffle(NBaseError):
     """Position maps of a composition do not form a shuffle."""
 

@@ -24,21 +24,25 @@ time: each normal-form term becomes a column, a prong of the level-1
 corolla that receives, at the level one above the term's subscript, the
 attachment encoding the term's argument, with single-factor carriers
 holding its slot at the levels in between.  A column contributes exactly
-its term.  encode is implemented for levels 1..4, which covers every
-notation below the level-4 image bound.
+its term.  Each level is one ``walk``: the pieces (attachments and
+carriers) hang at their anchors in the child lists of the embedded level
+below (``elements._hang``), and the walk says where each piece's factors,
+and so the requests for the next level, landed.  A level of more than
+``MAX_FACTORS`` factors is refused before its walk (SizeBound).  encode is
+implemented for levels 1..4, which covers every notation below the level-4
+image bound.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .elements import (
     MAX_ARITY,
+    _hang,
     corolla,
     embed,
-    graft_at_slot,
     total_G,
 )
 from .errors import (
@@ -85,6 +89,10 @@ MAX_NESTING = 256
 # a finite ordinal is a tuple of that many terms, bounded as a level-1 arity
 # is; an integer literal with more significant digits is refused unread
 MAX_DIGITS = len(str(MAX_ARITY))
+
+# encode raises SizeBound before building a level of more factors than
+# this; a sum of N terms nested d deep needs about N * d
+MAX_FACTORS = 1000
 
 _ORD_TOKEN = re.compile(r"\d+|phi\(|\S")
 
@@ -399,9 +407,10 @@ def _assemble(gamma, j, n):
     slot of the next level's total.  A column (level, attachment, the
     attachment's own requests) stands for one term with subscript
     level - 1.  Level 1 is a corolla with one prong per term; each level
-    above embeds the one below and grafts, at every anchor, the column's
+    above embeds the one below and hangs, at every anchor, the column's
     attachment if the column belongs there, else a single-factor carrier
-    that keeps the slot open and passes the request up.
+    that keeps the slot open and passes the request up.  Piece k's factor
+    t is node 1 + (factors of the pieces before it) + t of the one walk.
     """
     terms = gamma.terms
     reqs = []
@@ -411,24 +420,22 @@ def _assemble(gamma, j, n):
             reqs.append((p, (a_int + 1, *_assemble(delta, a_int + 1, n))))
     elem = corolla(len(terms))
     for i in range(2, j + 1):
-        elem = embed(elem)
-        # a graft at slot s fixes every slot below s, so anchors taken
-        # largest first need no re-mapping
-        reqs.sort(key=itemgetter(0), reverse=True)
-        out = []    # requests for level i + 1
+        pieces, out, base = [], [], 1
         for anchor, col in reqs:
             level, att, att_reqs = col
             if level > i:   # a carrier, whose one factor passes col up
                 for _ in range(level - i + 1):
                     att = total_G(att)
                 att, att_reqs = embed(att), [(1, col)]
-            g = graft_at_slot(elem, anchor, att)
-            elem = g.element
-            if out:
-                out = [(g.factor_phi[pos], c) for pos, c in out]
-            if att_reqs:
-                out += [(g.factor_psi[pos], c) for pos, c in att_reqs]
-        reqs = out
+            pieces.append((anchor, att))
+            out += [(base + pos, c) for pos, c in att_reqs]
+            base += att.m
+        if base > MAX_FACTORS:
+            raise SizeBound("encoding needs %d factors at level %d, more than"
+                            " %d" % (base, i, MAX_FACTORS))
+        # with nothing to hang, the walk would only rebuild the embedding
+        elem, reached = _hang(elem, pieces) if pieces else (embed(elem), {})
+        reqs = [(reached[t], c) for t, c in out]
     return elem, reqs
 
 

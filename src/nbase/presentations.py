@@ -19,6 +19,9 @@ from .trees import to_tree
 # symmetric_presentation builds n(n-1)/2 relators; a coset enumeration of
 # the n! cosets is out of reach long before this degree
 MAX_SYM_DEGREE = 64
+# a tree presentation has one generator per edge and quadratically many
+# relators: bounded as the symmetric one of as many generators is
+MAX_TREE_EDGES = MAX_SYM_DEGREE - 1
 
 
 def free_reduce(word):
@@ -279,6 +282,9 @@ def tree_presentation(x):
     """
     es = edge_structure(x)
     n_edges = len(es.edges)
+    if n_edges > MAX_TREE_EDGES:
+        raise SizeBound("tree presentation is limited to %d edges, got %d"
+                        % (MAX_TREE_EDGES, n_edges))
     rels = []
     for i in range(1, n_edges + 1):
         rels.append((i, i))
@@ -288,10 +294,9 @@ def tree_presentation(x):
             rels.append((i, j, i, j, i, j))
         else:
             rels.append((i, j, i, j))
-    for i, j, k in combinations(range(1, n_edges + 1), 3):
-        common = set(es.edges[i - 1]) & set(es.edges[j - 1]) & set(es.edges[k - 1])
-        if common:
-            rels.append((i, j, k, j, i, j, k, j))
+    # edges share at most one node, and a node has at most three edges
+    for i, j, k in sorted(inc for inc in es.incidence.values() if len(inc) == 3):
+        rels.append((i, j, k, j, i, j, k, j))
     return Presentation(n_edges, tuple(rels)), es
 
 

@@ -120,10 +120,10 @@ def suite_oracle(seed, size):
     """compose against node substitution on child lists.
 
     An in-package cross-check (the independent oracle is in the test
-    suite): y's child lists replace node i of x and ``trees.from_tree``
-    reads the tree back, to compare with the splice-and-sort composition.
+    suite): y's child lists replace node i of x, and the tree below node 1
+    is read back, to compare with the splice-and-sort composition.
     """
-    from .trees import from_tree, splice, to_tree
+    from .trees import _below_root, splice, to_tree
 
     rep = SuiteReport("oracle")
     cfg = _SIZES[size]
@@ -138,7 +138,7 @@ def suite_oracle(seed, size):
             children[0] = children[k]
         else:
             splice(children, i, [k + 1])
-        expected = from_tree(children)
+        expected = _below_root(children)[0]
         got, sh = compose(x, i, y)
         rep.check(got == expected,
                   lambda: "compose %s %d %s" % (format_element(x), i,

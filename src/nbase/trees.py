@@ -12,13 +12,14 @@ At every level >= 2 the factors form the same kind of tree, the tree of
 iterated head decompositions: a factor's children are the factors grafted
 into its slots.  ``to_tree`` and ``walk`` (``elements.walk``, re-exported
 here) take any level >= 2; ``from_tree`` builds level-2 trees from bare
-child lists, a corolla per node.
+child lists, a corolla per node, and refuses lists that are not one tree
+below node 1 (``InvalidTree``).
 """
 
 from __future__ import annotations
 
 from .elements import _tree, corolla, walk
-from .errors import LevelMismatch
+from .errors import InvalidTree, LevelMismatch
 
 
 def to_tree(x):
@@ -43,6 +44,24 @@ def from_tree(children):
 
     Node t has arity ``len(children[t - 1])``, 0 allowed; the leaves are
     -1..-n for the largest leaf number n, and need not all be present.
+    Raises InvalidTree unless the lists name every node but 1 once, node 1
+    never and each leaf at most once, and every node is reached from 1.
     """
-    return walk([corolla(len(entries), allow_zero=True) for entries in children],
-                children)[0]
+    entries = [c for row in children for c in row]
+    leaves = {c for c in entries if c < 0}
+    if (sorted([1] + [c for c in entries if c > 0]) != list(range(1, len(children) + 1))
+            or len(children) - 1 + len(leaves) != len(entries)):
+        raise InvalidTree("child lists must name every node but 1 exactly once,"
+                          " and each leaf at most once")
+    elem, reached = _below_root(children)
+    if len(reached) != len(children) + len(leaves):
+        raise InvalidTree("nodes %s are not reached from node 1" % sorted(
+            set(range(1, len(children) + 1)) - set(reached)))
+    return elem
+
+
+def _below_root(children):
+    """``walk`` of child lists from node 1, a corolla per node, unchecked:
+    the tree edits of ``units`` and ``selftest`` that drop nodes read their
+    lists with it, as they leave those nodes in place, named by no list."""
+    return walk([corolla(len(row), allow_zero=True) for row in children], children)

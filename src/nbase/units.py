@@ -21,7 +21,7 @@ from .elements import PlainElement, compose, corolla, embed, total_G
 from .enumeration import _enumerate, enumerate_elements
 from .errors import NotComposable, NotImplementedLevel, RangeViolation
 from .grammar import format_element
-from .trees import from_tree, splice, to_tree
+from .trees import _below_root, from_tree, splice, to_tree
 
 
 def unit(y):
@@ -128,7 +128,7 @@ def _delete_lozenge(x, i):
         children[0] = children[children[0][0] - 1]
     else:
         splice(children, i, children[i - 1])
-    return from_tree(children)
+    return _below_root(children)[0]
 
 
 def r_normalize(x):
@@ -152,7 +152,7 @@ def r_normalize(x):
         entries[:] = [c for c in entries if c < 0 or children[c - 1]]
     if not children[0]:
         return ZERO
-    return RElement(plain=from_tree(children))
+    return RElement(plain=_below_root(children)[0])
 
 
 @dataclass(frozen=True)
