@@ -83,9 +83,10 @@ class CosetTable:
     """Enumeration state; complete tables expose the group order.
 
     `rows` holds the live cosets renumbered 0..live-1 in definition order:
-    column 2(g-1) is generator g, column 2(g-1)+1 its inverse.  `defined`
-    counts every coset ever defined (coset 0 included), `merged` those
-    identified with an earlier one by coincidence, so live = defined - merged.
+    column 2(g-1) is generator g, column 2(g-1)+1 its inverse; for an
+    involution both hold the same coset.  `defined` counts every coset ever
+    defined (coset 0 included), `merged` those identified with an earlier
+    one by coincidence, so live = defined - merged.
     """
     generators: int
     rows: list = field(default_factory=list)
@@ -99,20 +100,40 @@ class CosetTable:
 def todd_coxeter(pres, max_cosets=100_000):
     """Enumerate cosets of the trivial subgroup; deterministic HLT strategy.
 
-    `max_cosets` caps the live cosets; a definition beyond it raises
-    `Overflow`.  Rows of cosets lost to coincidences are dropped as soon as
-    they are processed, so memory follows the live count.
+    A generator g with the relator g*g or g^-1*g^-1 is an involution: it
+    gets one self-inverse column, so a coset's g and g^-1 neighbours are
+    defined once, and its square relators are not scanned.  Every other
+    generator has a column and an inverse column.  `max_cosets` caps the
+    live cosets; a definition beyond it raises `Overflow`.  Rows of cosets
+    lost to coincidences are dropped as soon as they are processed, so
+    memory follows the live count.
     """
     g = pres.generators
-    ncols = 2 * g
-    # Column of letter l is 2(l-1), of l^-1 it is 2(l-1)+1; c ^ 1 inverts.
+    width = 2 * g
+    squares = {r for r in pres.relators if len(r) == 2 and r[0] == r[1]}
+    involutions = {abs(r[0]) for r in squares}
+    # col[l] is the internal column of letter l, inv[c] the column of the
+    # inverse letter; an involution's column is its own inverse.
+    col = {}
+    inv = []
+    for l in range(1, g + 1):
+        c = len(inv)
+        if l in involutions:
+            col[l] = col[-l] = c
+            inv.append(c)
+        else:
+            col[l], col[-l] = c, c + 1
+            inv.extend((c + 1, c))
+    ncols = len(inv)
     scans = []
     for r in pres.relators:
-        if r:
-            cols = tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in r)
-            scans.append((cols, tuple(c ^ 1 for c in cols), len(cols) - 1))
+        if r and r not in squares:
+            cols = tuple(col[l] for l in r)
+            scans.append((cols, tuple(inv[c] for c in cols), len(cols) - 1))
 
-    table = [[None] * ncols]
+    # Rows have the public width; columns from ncols on stay unused until
+    # the final compaction.
+    table = [[None] * width]
     p = [0]
     live = 1
     merged = 0
@@ -131,8 +152,8 @@ def todd_coxeter(pres, max_cosets=100_000):
             raise Overflow("coset cap %d exceeded: defined %d, live %d, merged %d"
                            % (max_cosets, len(table), live, merged))
         b = len(table)
-        row = [None] * ncols
-        row[c ^ 1] = a
+        row = [None] * width
+        row[inv[c]] = a
         table.append(row)
         p.append(b)
         table[a][c] = b
@@ -161,7 +182,7 @@ def todd_coxeter(pres, max_cosets=100_000):
                 if d is None:
                     continue
                 row[c] = None
-                ci = c ^ 1
+                ci = inv[c]
                 if table[d][ci] == dead:
                     table[d][ci] = None
                 mu, nu = rep(dead), rep(d)
@@ -221,7 +242,10 @@ def todd_coxeter(pres, max_cosets=100_000):
                     define(a, c)
         a += 1
 
-    # Compact in place: live rows keep their order and are renumbered.
+    # Compact in place: live rows keep their order and are renumbered, and
+    # each column moves to its public place (an involution's to both).  A
+    # column never sits right of its public place, so filling each row from
+    # the right overwrites only columns already read.
     defined = len(table)
     new_id = [None] * defined
     k = 0
@@ -231,14 +255,16 @@ def todd_coxeter(pres, max_cosets=100_000):
             table[k] = table[i]
             k += 1
     del table[k:]
+    place = [col[s * l] for l in range(1, g + 1) for s in (1, -1)]
     complete = True
     for row in table:
-        for c in range(ncols):
-            d = row[c]
+        for c in range(width - 1, -1, -1):
+            d = row[place[c]]
             if d is None:
                 complete = False
             else:
-                row[c] = new_id[d]
+                d = new_id[d]
+            row[c] = d
     ct = CosetTable(generators=g, rows=table, complete=complete, live=k,
                     defined=defined, merged=merged)
     if complete:

@@ -253,14 +253,33 @@ def random_term(rng, n, depth):
     return ordinals.phi(ordinals.from_int(a), b)
 
 
+def _relators_hold(pres, rows):
+    """Whether every relator and its inverse lead each coset of the table
+    back to itself; column 2(g-1) of a row is generator g, 2(g-1)+1 its
+    inverse."""
+    for r in pres.relators + tuple(tuple(-l for l in reversed(r))
+                                   for r in pres.relators):
+        cols = [2 * l - 2 if l > 0 else -2 * l - 1 for l in r]
+        for coset in range(len(rows)):
+            x = coset
+            for c in cols:
+                x = rows[x][c]
+            if x != coset:
+                return False
+    return True
+
+
 def suite_groups(seed, size):
     rep = SuiteReport("groups")
     import math
     top = 5 if size == "small" else 6
     for n in range(2, top + 1):
-        ct = todd_coxeter(symmetric_presentation(n))
+        pres = symmetric_presentation(n)
+        ct = todd_coxeter(pres)
         rep.check(ct.order == math.factorial(n),
                   lambda: "sym %d -> %s" % (n, ct.order))
+        rep.check(ct.complete and _relators_hold(pres, ct.rows),
+                  lambda: "sym %d: a relator fails at some coset" % n)
     for k in range(1, top):
         shapes = [e for e in enumerate_elements(2, k, 2)
                   if e.m == k and all(f.arity == 2 for f in e.factors)]

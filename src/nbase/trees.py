@@ -44,9 +44,13 @@ def from_tree(children):
 
     Node t has arity ``len(children[t - 1])``, 0 allowed; the leaves are
     -1..-n for the largest leaf number n, and need not all be present.
-    Raises InvalidTree unless the lists name every node but 1 once, node 1
-    never and each leaf at most once, and every node is reached from 1.
+    Raises InvalidTree unless the lists are lists of ints that name every
+    node but 1 once, node 1 never and each leaf at most once, and every node
+    is reached from 1.
     """
+    if not all(isinstance(row, (list, tuple)) and all(type(c) is int for c in row)
+               for row in children):
+        raise InvalidTree("child lists must be lists of ints")
     entries = [c for row in children for c in row]
     leaves = {c for c in entries if c < 0}
     if (sorted([1] + [c for c in entries if c > 0]) != list(range(1, len(children) + 1))

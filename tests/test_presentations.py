@@ -183,16 +183,18 @@ class TestCosetTable:
                     x = ct.rows[x][c]
                 assert x == coset
 
-    @pytest.mark.parametrize("n,defined", [(4, 35), (5, 220), (6, 1513),
-                                           (7, 12145)])
-    def test_definition_count_is_pinned(self, n, defined):
-        # the HLT definition order fixes how many cosets are ever defined
+    @pytest.mark.parametrize("n,two_columns", [(4, 35), (5, 220), (6, 1513),
+                                               (7, 12145)])
+    def test_definition_count_is_pinned(self, n, two_columns):
+        # the HLT definition order fixes how many cosets are ever defined;
+        # two_columns is the count when an involution had an inverse column
+        defined = {4: 24, 5: 129, 6: 825, 7: 6411}[n]
         ct = todd_coxeter(symmetric_presentation(n))
-        assert ct.defined == defined
+        assert ct.defined == defined <= two_columns
         assert ct.defined - ct.merged == ct.live == ct.order == factorial(n)
 
     def test_cap_counts_live_cosets(self):
-        # S7 defines 12145 cosets but never holds more than 6000 live
+        # S7 defines 6411 cosets but never holds more than 6000 live
         ct = todd_coxeter(symmetric_presentation(7), max_cosets=6000)
         assert ct.order == 5040 and ct.defined > 6000
 

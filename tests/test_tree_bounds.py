@@ -39,6 +39,18 @@ def test_from_tree_refuses_what_is_not_one_tree(children):
         from_tree(children)
 
 
+@pytest.mark.parametrize("children", [
+    [[2.0], [-1]],          # a float that equals a node number
+    [["a"]],
+    [[None]],
+    [[True], [-1]],         # a bool is not a node number
+    [[2], 5],               # a row that is not a list
+], ids=repr)
+def test_from_tree_refuses_entries_that_are_not_ints(children):
+    with pytest.raises(InvalidTree):
+        from_tree(children)
+
+
 def test_from_tree_keeps_partial_leaf_sets_and_round_trips():
     # the unit plugs pass leaves with gaps; they are numbered left to right
     assert format_element(from_tree([[-4, 2], [-1, -9]])) == "[2,2|2]"
