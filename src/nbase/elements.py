@@ -18,7 +18,9 @@ position maps (phi for x's surviving factors, psi for y's) recording where
 every factor lands.  All values are immutable; every function is pure.
 Every order of the grafts builds one tree: each factor fills one slot of
 an earlier factor.  ``_tree`` reads it off a sequence as child lists, and
-``walk`` writes it back as the canonical element, at every level.
+``walk`` writes it back as the canonical element, at every level.  Every
+reader of an element's tree goes through ``_lists``, which keeps the lists
+on the element, as tuples, from its second read on.
 ``_hang`` hangs the trees of several elements at slots of one head and
 walks once: ``HeadForm.recompose`` and each level of ordinal encoding.
 
@@ -65,7 +67,7 @@ class PlainElement:
     ``m`` counts entries: factors, the arity at level 1, 1 for the point.
     """
 
-    __slots__ = ("level", "arity", "factors", "indices", "m", "_total")
+    __slots__ = ("level", "arity", "factors", "indices", "m", "_total", "_children")
 
     def __new__(cls, level, arity=None, factors=None, indices=None,
                 allow_zero=False):
@@ -136,6 +138,7 @@ def _new(cls, level, arity, factors, indices, total):
     self.indices = indices
     self.m = len(factors) if level >= 2 else arity if level else 1
     self._total = total
+    self._children = None
     return self
 
 
@@ -160,6 +163,7 @@ def _trusted(level, factors, indices, total):
 # and identity-hashed elements, so dict.setdefault runs no Python code and
 # is one atomic step: threads that build one value at once get one object.
 _interned: dict = {}
+_rows: dict = {}  # the one tuple of each row value in kept child lists
 
 POINT = PlainElement(0)
 
@@ -429,10 +433,25 @@ def _graft_indices(W, slot, v):
     return indices
 
 
+def _lists(x):
+    """x's child lists (level >= 2) as a tuple of tuples, kept on x from
+    its second read: the first read leaves only the marker ``()``, so a
+    value read once, as most are, holds no lists.  Equal rows of kept
+    lists are one tuple.  Check mode recomputes every kept read."""
+    kept = x._children
+    if kept:
+        if _CHECK and kept != tuple(map(tuple, _tree(x.factors, x.indices))):
+            raise TrustViolation("kept child lists %r of %r are not its tree" % (kept, x))
+        return kept
+    lists = tuple(map(tuple, _tree(x.factors, x.indices)))
+    x._children = () if kept is None else tuple([_rows.setdefault(r, r) for r in lists])
+    return x._children or lists
+
+
 def _tree(factors, indices):
-    """The child lists (``trees.to_tree``) of a valid graft sequence, from
-    one raw trace; every graft order gives the same lists, since the swap
-    rule changes indices, never the slot a factor fills."""
+    """The child lists of a valid graft sequence, from one raw trace; every
+    graft order gives the same lists, since the swap rule changes indices,
+    never the slot a factor fills.  An element's are read with ``_lists``."""
     trace = _Trace(factors[0], 1)
     children = [[0] * f.m for f in factors]
     for t, (f, idx) in enumerate(zip(factors[1:], indices), start=2):
@@ -671,7 +690,7 @@ def _hang(head, pairs):
         children[0][slot - 1] = base + 1
         factors += v.factors
         children += [[c + base if c > 0 else c - leaves for c in entries]
-                     for entries in _tree(v.factors, v.indices)]
+                     for entries in _lists(v)]
         leaves += v._total.m
     return walk(factors, children)
 
@@ -685,7 +704,7 @@ def decompose_head(z):
     """
     if z.level < 2:
         raise LevelMismatch("head decomposition needs level >= 2")
-    children = _tree(z.factors, z.indices)
+    children = _lists(z)
     attachments = []
     for slot, t in enumerate(children[0], start=1):
         if t > 0:

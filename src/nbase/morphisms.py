@@ -32,7 +32,7 @@ from .errors import (
     RangeViolation,
     SizeBound,
 )
-from .trees import to_tree, walk
+from .trees import _lists, walk
 
 # two_morphisms_between raises SizeBound above this many results
 MAX_TWO_MORPHISMS = 100_000
@@ -163,11 +163,13 @@ def apply_one(source, node_perms):
     if len(node_perms) != source.m:
         raise DegreeMismatch("need one permutation per factor")
     node_perms = tuple(tuple(p) for p in node_perms)
-    children = to_tree(source)
-    for t, (p, entries) in enumerate(zip(node_perms, children), start=1):
+    children = []
+    for t, (p, entries) in enumerate(zip(node_perms, _lists(source)), start=1):
         _check_perm(p, len(entries), "permutation %d", t)
-        for c, q in zip(entries[:], p):  # each entry to its permuted prong
-            entries[q - 1] = c
+        moved = list(entries)
+        for c, q in zip(entries, p):  # each entry to its permuted prong
+            moved[q - 1] = c
+        children.append(moved)
     target, reached = walk(source.factors, children)
     leaves = len(reached) - source.m  # every node and leaf is reached
     return OneMor2(source, node_perms, target,

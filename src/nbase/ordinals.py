@@ -52,7 +52,7 @@ from .errors import (
     ParseError,
     SizeBound,
 )
-from .trees import to_tree
+from .trees import _lists
 
 
 # -- notation ---------------------------------------------------------------
@@ -353,7 +353,7 @@ def _walk(z, bindings, level):
         return _sum(bindings.get(p, ONE) for p in range(1, z.arity + 1))
     # factors in reverse order, so a factor's children are done before it;
     # each occupied slot is bound to hier(level - 1, value of its child)
-    children = to_tree(z)
+    children = _lists(z)
     values = [None] * z.m
     for t in range(z.m, 0, -1):
         slots = {r: hier(level - 1, values[c - 1])

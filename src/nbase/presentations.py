@@ -14,7 +14,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import NotBinary, Overflow, RangeViolation, SizeBound
-from .trees import to_tree
+from .trees import _lists
 
 # symmetric_presentation builds n(n-1)/2 relators; a coset enumeration of
 # the n! cosets is out of reach long before this degree
@@ -288,7 +288,7 @@ def edge_structure(x):
         raise NotBinary("binary elements live at level 2")
     if any(f.arity != 2 for f in x.factors):
         raise NotBinary("all entries must have arity 2")
-    edges = sorted((s, t) for s, entries in enumerate(to_tree(x), start=1)
+    edges = sorted((s, t) for s, entries in enumerate(_lists(x), start=1)
                    for t in entries if t > 0)
     incidence = {}
     for num, (u, v) in enumerate(edges, start=1):

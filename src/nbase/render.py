@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import LevelMismatch
 from .grammar import format_element
-from .trees import to_tree
+from .trees import _lists
 
 
 def render(x, fmt="ascii"):
@@ -41,7 +41,7 @@ def render_ascii(x):
 def _ascii_tree(x):
     # an explicit stack of (child-list entry, line prefix), pushed right to
     # left so that prongs pop left to right; a negative entry is a leaf
-    children = to_tree(x)
+    children = _lists(x)
     lines = []
     stack = [(1, "")]
     while stack:
@@ -85,7 +85,7 @@ def render_dot(x):
 def _dot_tree(x, prefix):
     # an explicit stack of nodes still to draw and lines still to emit; a
     # child's edge line is pushed under it, so it follows the child's subtree
-    children = to_tree(x)
+    children = _lists(x)
     lines = []
     stack = [1]
     while stack:

@@ -4,9 +4,11 @@ A level-2 element is a planar tree: its factors are the internal nodes in
 preorder (root first, children left to right), and factor t+1 hangs off
 prong ``indices[t-1]`` of the partial tree built from the first t factors.
 The tree's one in-memory form is ``to_tree(x)``: for each node, the entries
-at its prongs, a node number or a negative leaf.  Every tree edit
-(one-morphisms, unit plugs, the oracle suite) rewrites these lists and
-reads the result back with ``walk``; the renderers draw them as they are.
+at its prongs, a node number or a negative leaf.  They are computed once per
+element and kept on it as tuples (``elements._lists``, re-exported here for
+the package's readers); ``to_tree`` hands out fresh lists.  Every tree edit
+(one-morphisms, unit plugs, the oracle suite) rewrites such lists and reads
+the result back with ``walk``; the renderers draw them.
 
 At every level >= 2 the factors form the same kind of tree, the tree of
 iterated head decompositions: a factor's children are the factors grafted
@@ -18,7 +20,7 @@ below node 1 (``InvalidTree``).
 
 from __future__ import annotations
 
-from .elements import _tree, corolla, walk
+from .elements import _lists, corolla, walk
 from .errors import InvalidTree, LevelMismatch
 
 
@@ -26,10 +28,11 @@ def to_tree(x):
     """Child lists of an element of level >= 2: ``children[t - 1][r - 1]``
     is the factor grafted into slot r of factor t, or -n when that slot is
     slot n of the total.  At level 2 these are the node at prong r of node
-    t, or leaf n."""
+    t, or leaf n.  They are fresh lists, free to edit, copied from the ones
+    the element keeps."""
     if x.level < 2:
         raise LevelMismatch("tree view needs level >= 2")
-    return _tree(x.factors, x.indices)
+    return [list(entries) for entries in _lists(x)]
 
 
 def splice(children, entry, new):
