@@ -35,7 +35,6 @@ embed and walk): those are trusted, and re-validated under ``NBASE_CHECK=1``.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from operator import index, le
 from typing import NamedTuple
 
@@ -305,7 +304,8 @@ def total_G(x):
 
 
 def _execute(x, i, y):
-    """Composite without shuffle bookkeeping (used by validation and G)."""
+    """Composite without shuffle bookkeeping: validation, ``_splice``,
+    ``_graft_indices``, ``enumeration`` and ``randgen`` build partials with it."""
     if x.level == 1:
         return corolla(x.arity + y.arity - 1, allow_zero=True)
     return compose(x, i, y)[0]
@@ -327,9 +327,19 @@ def compose(x, i, y):
     return res
 
 
+def _slot(i):
+    """A slot number as an int: results are trusted, so no bool or float
+    may reach their indices or maps."""
+    try:
+        return index(i)
+    except TypeError:
+        raise RangeViolation("a slot must be an integer, got %r" % (i,)) from None
+
+
 def _compose(x, i, y):
     if x.level != y.level or x.level < 1:
         raise LevelMismatch("compose needs two elements of equal level >= 1")
+    i = _slot(i)
     if i < 1 or i > x.m:
         raise RangeViolation("slot %d outside 1..%d" % (i, x.m))
     n = x.level
@@ -533,10 +543,10 @@ def normalize(g, strategy="left"):
 def _sort_sequence(level, factors, indices, total=None):
     """Canonical order of a valid graft sequence, with its permutation.
 
-    ``_compose``, ``graft_at_slot`` at level >= 3 and ``normalize`` call
-    it.  A sequence with no inversion is canonical and comes back as it
-    is, trusted with the given total, else validated.  Otherwise the order
-    is the ``walk`` of its child lists.
+    ``_compose``, ``graft_at_slot`` and ``normalize`` call it.  A sequence
+    with no inversion is canonical and comes back as it is, trusted with
+    the given total, else validated.  Otherwise the order is the ``walk``
+    of its child lists.
     """
     if all(map(le, indices, indices[1:])):
         return (_trusted(level, tuple(factors), tuple(indices), total) if total
@@ -618,41 +628,21 @@ def graft_at_slot(u, slot, v):
     operation of the free structure: compose substitutes at a factor, graft
     subdivides a slot of the total.
 
-    At level 2 the result is one splice of preorder arity words, with no
-    sort: u's first j nodes (those grafted at or left of the leaf ``slot``),
-    then v's nodes hung there, then u's other nodes, their graft indices
-    moved right by v's leaf count - 1; the four maps are arithmetic.  At
-    level >= 3 v's factors, at their ambient indices, follow u's, and
-    ``_sort_sequence`` orders them; the factor maps are its permutation.
-    The slot maps are the shuffle of compose(G(u), slot, G(v)).
+    One path serves every level.  v's factors, at their ambient indices
+    (``_graft_indices``), follow u's, and ``_sort_sequence`` orders them;
+    the factor maps are its permutation.  The total and the slot maps are
+    compose(G(u), slot, G(v)), a level-1 composition when u is a tree.
     """
     n = u.level
     if v.level != n or n < 2:
         raise LevelMismatch("graft needs equal levels >= 2")
     W = total_G(u)
+    slot = _slot(slot)
     if slot < 1 or slot > W.m:
         raise RangeViolation("slot %d outside 1..%d" % (slot, W.m))
-    slot = index(slot)  # the result is trusted: no bool in its indices
     if slots_F(W)[slot - 1] != total_G(total_G(v)):
         raise NotComposable(
             "total of the graft does not match slot %d of the base" % slot)
-
-    if n == 2:
-        # u-factors 1..j keep their place: they graft at or left of the slot
-        j = 1 + bisect_right(u.indices, slot)
-        grown = total_G(v).arity - 1
-        elem = _trusted(2, u.factors[:j] + v.factors + u.factors[j:],
-                        u.indices[:j - 1] + (slot,)
-                        + tuple(slot - 1 + q for q in v.indices)
-                        + tuple(b + grown for b in u.indices[j - 1:]),
-                        corolla(W.arity + grown, allow_zero=True))
-        vm = len(v.factors)
-        factor_phi = {t: t if t <= j else t + vm for t in range(1, u.m + 1)}
-        factor_psi = {t: j + t for t in range(1, vm + 1)}
-        slot_phi = {s: s if s < slot else s + grown
-                    for s in range(1, W.m + 1) if s != slot}
-        slot_psi = {r: slot - 1 + r for r in range(1, grown + 2)}
-        return GraftResult(elem, factor_phi, factor_psi, slot_phi, slot_psi)
 
     total, sh = compose(W, slot, total_G(v))
     elem, perm = _sort_sequence(n, u.factors + v.factors, list(u.indices)

@@ -74,4 +74,4 @@ class TrustViolation(NBaseError):
 
 
 class UnknownStrategy(NBaseError):
-    """normalize was given a rewriting-strategy name it does not know."""
+    """A name that selects a strategy, format, kind or suite is not known."""

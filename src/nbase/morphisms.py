@@ -31,6 +31,7 @@ from .errors import (
     OrderViolation,
     RangeViolation,
     SizeBound,
+    UnknownStrategy,
 )
 from .trees import _lists, walk
 
@@ -305,4 +306,4 @@ def enumerate_morphisms(x, kind, max_factors=6):
             if mor is not None:
                 out.append(mor)
         return out
-    raise ValueError("kind must be 'one' or 'two'")
+    raise UnknownStrategy("kind must be 'one' or 'two', got %r" % (kind,))

@@ -8,7 +8,7 @@ node t has ``len(children[t - 1])`` prongs, and a negative entry is a leaf.
 
 from __future__ import annotations
 
-from .errors import LevelMismatch
+from .errors import LevelMismatch, UnknownStrategy
 from .grammar import format_element
 from .trees import _lists
 
@@ -18,7 +18,7 @@ def render(x, fmt="ascii"):
         return render_ascii(x)
     if fmt == "dot":
         return render_dot(x)
-    raise ValueError("format must be 'ascii' or 'dot'")
+    raise UnknownStrategy("format must be 'ascii' or 'dot', got %r" % (fmt,))
 
 
 def render_ascii(x):

@@ -319,6 +319,6 @@ SUITES = {
 
 def run_suite(name, seed=0, size="small"):
     if name not in SUITES:
-        raise ValueError("unknown suite %r (choose from %s)"
-                         % (name, ", ".join(sorted(SUITES))))
+        raise UnknownStrategy("unknown suite %r (choose from %s)"
+                              % (name, ", ".join(sorted(SUITES))))
     return SUITES[name](seed, size)
