@@ -84,12 +84,7 @@ class PlainElement:
                     POINT if level else None))
             return self
         factors = tuple(factors)
-        try:
-            # the key compares indices with ==, under which 1.0 == 1
-            indices = tuple(map(index, indices))
-        except TypeError:
-            raise RangeViolation(
-                "graft indices must be integers, got %r" % (indices,)) from None
+        indices = _ints(indices)
         key = (level, factors, indices)
         try:
             self = _interned.get(key)
@@ -108,6 +103,15 @@ class PlainElement:
     def __repr__(self):
         from .grammar import format_element
         return "<%d:%s>" % (self.level, format_element(self))
+
+
+def _ints(indices):
+    """Graft indices as a tuple of ints: intern keys compare indices with
+    ==, under which 1.0 == 1."""
+    try:
+        return tuple(map(index, indices))
+    except TypeError:
+        raise RangeViolation("graft indices must be integers, got %r" % (indices,)) from None
 
 
 def _validate(level, factors, indices):
@@ -233,11 +237,7 @@ class GammaSequence(NamedTuple):
             raise InvalidSequence(
                 "expected %d graft indices for %d factors, got %d"
                 % (len(self.factors) - 1, len(self.factors), len(self.indices)))
-        try:
-            # the intern key compares indices with ==, under which 1.0 == 1
-            indices = tuple(map(index, self.indices))
-        except TypeError:
-            raise RangeViolation("graft indices must be integers: %r" % (self.indices,)) from None
+        indices = _ints(self.indices)
         if not all(isinstance(f, PlainElement) for f in self.factors):
             raise LevelMismatch("raw sequence factors must be elements: %r" % (self.factors,))
         try:

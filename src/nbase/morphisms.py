@@ -37,6 +37,16 @@ from .trees import _lists, walk
 
 # two_morphisms_between raises SizeBound above this many results
 MAX_TWO_MORPHISMS = 100_000
+# enumerate_morphisms raises SizeBound for an element of more factors
+MAX_MORPHISM_FACTORS = 6
+
+
+def _inverse(perm):
+    """The inverse of a permutation of 1..n, as a tuple."""
+    inv = [0] * len(perm)
+    for a, b in enumerate(perm, start=1):
+        inv[b - 1] = a
+    return tuple(inv)
 
 
 def _check_perm(perm, degree, what, *args):
@@ -72,15 +82,9 @@ class OneMor2:
         return apply_one(self.source, perms)
 
     def inverse(self):
-        k = self.source.m
-        perms = [None] * k
-        for t in range(1, k + 1):
-            p = self.node_perms[t - 1]
-            inv = [0] * len(p)
-            for a, b in enumerate(p, start=1):
-                inv[b - 1] = a
-            perms[self.node_relabel[t - 1] - 1] = tuple(inv)
-        return apply_one(self.target, perms)
+        # target node u is source node t = node_relabel^-1(u)
+        return apply_one(self.target, [_inverse(self.node_perms[t - 1])
+                                       for t in _inverse(self.node_relabel)])
 
     def is_identity(self):
         return self.source == self.target and all(
@@ -116,10 +120,7 @@ class TwoMor2:
         return TwoMor2(self.source, other.target, sigma)
 
     def inverse(self):
-        inv = [0] * len(self.sigma)
-        for t, s in enumerate(self.sigma, start=1):
-            inv[s - 1] = t
-        return TwoMor2(self.target, self.source, tuple(inv))
+        return TwoMor2(self.target, self.source, _inverse(self.sigma))
 
     def is_identity(self):
         return (self.source == self.target
@@ -243,16 +244,11 @@ def complete_square(f, g):
     """
     if f.source != g.source:
         raise NotComposable("the two edges must share their source")
-    k = f.source.m
-    transported = tuple(f.node_perms[g.sigma[t] - 1] for t in range(k))
+    transported = tuple(f.node_perms[s - 1] for s in g.sigma)
     right = apply_one(g.target, transported)
     opposite = right.target
-    inv_right = [0] * k
-    for t in range(1, k + 1):
-        inv_right[right.node_relabel[t - 1] - 1] = t
-    sigma_bottom = tuple(
-        f.node_relabel[g.sigma[inv_right[t - 1] - 1] - 1]
-        for t in range(1, k + 1))
+    sigma_bottom = tuple(f.node_relabel[g.sigma[t - 1] - 1]
+                         for t in _inverse(right.node_relabel))
     bottom = TwoMor2(f.target, opposite, sigma_bottom)
     return Square12(f.source, g, f, right, bottom, opposite)
 
@@ -292,10 +288,10 @@ def identity_two(x):
     return TwoMor2(x, x, tuple(range(1, x.m + 1)))
 
 
-def enumerate_morphisms(x, kind, max_factors=6):
+def enumerate_morphisms(x, kind):
     """All one-morphisms out of x, or all index-keeping two-morphisms."""
-    if x.m > max_factors:
-        raise SizeBound("element has %d factors, bound is %d" % (x.m, max_factors))
+    if x.m > MAX_MORPHISM_FACTORS:
+        raise SizeBound("element has %d factors, bound is %d" % (x.m, MAX_MORPHISM_FACTORS))
     if kind == "one":
         pools = [permutations(range(1, f.arity + 1)) for f in x.factors]
         return [apply_one(x, perms) for perms in product(*pools)]

@@ -119,10 +119,6 @@ def cmp(x, y):
     return _cmp_sums(x.terms, y.terms)
 
 
-def _cmp_term(s, t):
-    return _cmp_sums((s,), (t,))
-
-
 def _cmp_sums(xs, ys):
     # Terms phi_a(b) and phi_c(d) compare by subscripts, then by one pair
     # of sums: b with d, b with the larger-subscript term, or (negated) d
@@ -178,7 +174,7 @@ def _sum(parts):
         lead = y.terms[0]
         if lead is not None:    # a 1 absorbs nothing; every term absorbs a 1
             while terms and (terms[-1] is None
-                             or _cmp_term(terms[-1], lead) < 0):
+                             or _cmp_sums((terms[-1],), (lead,)) < 0):
                 terms.pop()
         terms.extend(y.terms)
     return Ordinal(tuple(terms))

@@ -242,10 +242,10 @@ def todd_coxeter(pres, max_cosets=100_000):
                     define(a, c)
         a += 1
 
-    # Compact in place: live rows keep their order and are renumbered, and
-    # each column moves to its public place (an involution's to both).  A
-    # column never sits right of its public place, so filling each row from
-    # the right overwrites only columns already read.
+    # Compact: live rows keep their order and are renumbered, and each row,
+    # already at the public width, is remapped from a snapshot of itself
+    # (an involution's column into both public columns).  An undefined
+    # entry stays None, the value of holes.append, so one pass finds them.
     defined = len(table)
     new_id = [None] * defined
     k = 0
@@ -256,18 +256,12 @@ def todd_coxeter(pres, max_cosets=100_000):
             k += 1
     del table[k:]
     place = [col[s * l] for l in range(1, g + 1) for s in (1, -1)]
-    complete = True
+    holes = []
     for row in table:
-        for c in range(width - 1, -1, -1):
-            d = row[place[c]]
-            if d is None:
-                complete = False
-            else:
-                d = new_id[d]
-            row[c] = d
-    ct = CosetTable(generators=g, rows=table, complete=complete, live=k,
+        row[:] = [holes.append(c) if row[c] is None else new_id[row[c]] for c in place]
+    ct = CosetTable(generators=g, rows=table, complete=not holes, live=k,
                     defined=defined, merged=merged)
-    if complete:
+    if not holes:
         ct.order = k
     return ct
 

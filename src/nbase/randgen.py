@@ -3,15 +3,16 @@
 Everything is driven by an explicit random.Random so suites are
 reproducible.  The central trick is generating an element with a
 prescribed total: factor the target through an attachment split or a unit
-split and graft recursively built pieces.
+split and graft recursively built pieces.  An attachment split rebuilds
+its base, a unit in the chosen attachment's place, with one ``_hang``.
 """
 
 from __future__ import annotations
 
 from .elements import (
     GammaSequence,
-    HeadForm,
     _execute,
+    _hang,
     corolla,
     decompose_head,
     embed,
@@ -37,9 +38,8 @@ def factorize(w, rng):
         att = rng.choice(hf.attachments)
         # the unit on att's total takes the position of att's first factor,
         # so composing att back in there gives w
-        stub = att._replace(element=embed(total_G(att.element)))
-        a = HeadForm(hf.head, tuple(stub if other is att else other
-                                    for other in hf.attachments)).recompose()
+        a = _hang(hf.head, [(o.slot, embed(total_G(o.element)) if o is att else o.element)
+                            for o in hf.attachments])[0]
         return a, att.positions[0], att.element
     if rng.random() < 0.5:
         return embed(total_G(w)), 1, w
@@ -80,29 +80,27 @@ def random_element(level, rng, grafts=2, max_arity=4, depth=2):
     return e
 
 
-def random_composable_triple(level, rng, **kw):
-    """(x, i, y, j, z) with i < j, both arguments composable into x."""
+def _composable_at(level, rng, count, kw):
+    """(x, s_1, y_1, ..., s_count, y_count): a random x of at least count
+    factors, count increasing slots of it, and an element composable at each."""
     while True:
         x = random_element(level, rng, **kw)
-        if x.m >= 2:
+        if x.m >= count:
             break
-    i, j = sorted(rng.sample(range(1, x.m + 1), 2))
-    y = random_with_total(level, slots_F(x)[i - 1], rng)
-    z = random_with_total(level, slots_F(x)[j - 1], rng)
-    return x, i, y, j, z
+    out = [x]
+    for s in sorted(rng.sample(range(1, x.m + 1), count)):
+        out += [s, random_with_total(level, slots_F(x)[s - 1], rng)]
+    return tuple(out)
+
+
+def random_composable_triple(level, rng, **kw):
+    """(x, i, y, j, z) with i < j, both arguments composable into x."""
+    return _composable_at(level, rng, 2, kw)
 
 
 def random_phi_quad(level, rng, **kw):
     """(x, i, y, j, z, k, t): i < j < k with y, z, t composable at i, j, k."""
-    while True:
-        x = random_element(level, rng, **kw)
-        if x.m >= 3:
-            break
-    i, j, k = sorted(rng.sample(range(1, x.m + 1), 3))
-    y = random_with_total(level, slots_F(x)[i - 1], rng)
-    z = random_with_total(level, slots_F(x)[j - 1], rng)
-    t = random_with_total(level, slots_F(x)[k - 1], rng)
-    return x, i, y, j, z, k, t
+    return _composable_at(level, rng, 3, kw)
 
 
 def random_gamma(level, rng, steps=3, max_arity=3):

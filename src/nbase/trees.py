@@ -15,7 +15,7 @@ iterated head decompositions: a factor's children are the factors grafted
 into its slots.  ``to_tree`` and ``walk`` (``elements.walk``, re-exported
 here) take any level >= 2; ``from_tree`` builds level-2 trees from bare
 child lists, a corolla per node, and refuses lists that are not one tree
-below node 1 (``InvalidTree``).
+below node 1 (``InvalidTree``); the package's own edits skip that check.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ def from_tree(children):
 
 def _below_root(children):
     """``walk`` of child lists from node 1, a corolla per node, unchecked:
-    the tree edits of ``units`` and ``selftest`` that drop nodes read their
-    lists with it, as they leave those nodes in place, named by no list."""
+    every tree edit of ``units`` and ``selftest`` reads its lists with it,
+    as they are trees by construction.  Those that drop nodes leave them in
+    place, named by no list, which ``from_tree`` would refuse."""
     return walk([corolla(len(row), allow_zero=True) for row in children], children)

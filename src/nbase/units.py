@@ -21,7 +21,7 @@ from .elements import PlainElement, compose, corolla, embed, total_G
 from .enumeration import _enumerate, enumerate_elements
 from .errors import NotComposable, NotImplementedLevel, RangeViolation
 from .grammar import format_element
-from .trees import _below_root, from_tree, splice, to_tree
+from .trees import _below_root, splice, to_tree
 
 
 def unit(y):
@@ -74,10 +74,11 @@ def r_compose(x, i, u):
     """Composition extended to the degeneracies, level <= 2 only.
 
     Plain-with-plain falls through to ordinary composition over the
-    extended base.  Plugging the zero at level 1 subtracts a prong; at
-    level 2, i names a free prong of the total and the capped element comes
-    back in canonical order.  Plugging the eraser requires factor i to have
-    arity 1 and deletes it.
+    extended base.  Plugging the zero at level 1 is composition with the
+    arity-0 corolla, which subtracts a prong; at level 2, i names a free
+    prong of the total and the capped element comes back in canonical
+    order.  Plugging the eraser requires factor i to have arity 1 and
+    deletes it.
     """
     x = RElement.of(x)
     u = RElement.of(u)
@@ -92,9 +93,7 @@ def r_compose(x, i, u):
 
     if u.is_zero:
         if xp.level == 1:
-            if i < 1 or i > xp.arity:
-                raise RangeViolation("prong %d outside 1..%d" % (i, xp.arity))
-            return RElement(plain=corolla(xp.arity - 1, allow_zero=True))
+            return RElement(plain=compose(xp, i, corolla(0, allow_zero=True))[0])
         total = total_G(xp)
         if i < 1 or i > total.arity:
             raise RangeViolation("prong %d outside 1..%d" % (i, total.arity))
@@ -118,7 +117,7 @@ def _cap_prong(x, prong):
     """Execute a zero-plug at a free prong of the total: drop its leaf entry."""
     children = to_tree(x)
     splice(children, -prong, [])
-    return from_tree(children)
+    return _below_root(children)[0]
 
 
 def _delete_lozenge(x, i):
