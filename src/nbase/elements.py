@@ -320,7 +320,7 @@ def compose(x, i, y):
     """Substitute y into slot i of x; returns (result, ShuffleMap)."""
     key = (x, i, y)
     hit = _compose_cache.get(key)
-    if hit is not None:
+    if hit is not None and i.__class__ is int:  # 2.0 == 2 as a key, but _slot refuses it
         return hit
     res = _compose(x, i, y)
     _compose_cache[key] = res

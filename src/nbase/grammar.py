@@ -7,12 +7,16 @@ Grammar (whitespace-insensitive):
     elemN := "[" elem{N-1} ("," elem{N-1})* ["|" [int ("," int)* [","]]] "]"
 
 So `[4]` and `[4|]` are the same literal, the index list may end in a
-comma, and numbers may have leading zeros.  The level is either supplied by
-the caller or inferred from bracket depth.  Parsing is one syntax pass over
-the tokens, then one build pass, so a malformed literal is reported as a
-ParseError before any level or validation error.  The unital layer's
-extension (`units.parse_relement`) reads "0" (the level-1 zero) and "!e"
-(the level-2 eraser) itself and passes allow_zero for arity-0 corollas.
+comma, and numbers may have leading zeros.  The level is the caller's or
+the nesting depth: the most brackets around a number, plus one, or around
+the point.  One pass over the tokens builds each element as its bracket
+closes.  Of several faults the caller sees, by class: a ParseError (or the
+nesting SizeBound), then a LevelMismatch for a depth other than the level
+passed, then one for raw below level 2, then the first error of building,
+unless a leaf up to it is at a wrong level (a number under fewer brackets
+than the deepest, or the point in brackets), which is a LevelMismatch.
+`units.parse_relement` reads "0" (the level-1 zero) and "!e" (the level-2
+eraser) itself and passes allow_zero for arity-0 corollas.
 JSON mirror: {"level": n, "factors": [...], "indices": [...]}.
 """
 
@@ -21,11 +25,11 @@ from __future__ import annotations
 import re
 
 from .elements import POINT, GammaSequence, PlainElement, corolla
-from .errors import LevelMismatch, ParseError, SizeBound
+from .errors import LevelMismatch, NBaseError, ParseError, SizeBound
 
-# the builder, the formatter and the JSON reader recurse once per level; the
-# parser's bracket stack, or a JSON element's level, above this raises
-# SizeBound before any recursion
+# the formatter and the JSON reader recurse once per level; the parser's
+# bracket stack, or a JSON element's level, above this raises SizeBound, so
+# every element they meet is within the recursion limit
 MAX_NESTING = 256
 
 _FOREIGN = re.compile(r"[^\s\d\[\],|*]")
@@ -34,11 +38,11 @@ _TOKEN = re.compile(r"\d+|[\[\],|*]")
 _NOT_NUMBER = "[],|*"
 
 
-def _parse(text):
-    """The syntax pass: (depth, tree) of a literal, its level not yet fixed.
+def parse_element(text, level=None, allow_zero=False, raw=False):
+    """Parse an element literal; infer the level from nesting if not given.
 
-    A tree is "*", an int, or a (factors, indices) pair of lists.  Open
-    brackets are [factors, depth of the deepest factor] frames on a stack.
+    With raw=True the indices need not be sorted and a GammaSequence is
+    returned (for the normalize entry point).
     """
     bad = _FOREIGN.search(text)
     if bad:
@@ -47,28 +51,35 @@ def _parse(text):
     tokens = _TOKEN.findall(text)
     tokens.append("")  # every path that reads it raises or returns
     take = iter(tokens).__next__
-    stack = []
+    stack = []  # the factors read so far in each open bracket
+    depth = 0
+    failed = None  # the first building error; building stops there
     while True:
         tok = take()
         if tok == "[":
             if len(stack) == MAX_NESTING:
                 raise SizeBound("element literal is nested deeper than %d"
                                 % MAX_NESTING)
-            stack.append([[], 0])
+            stack.append([])
             continue
         if tok == "*":
-            tree, depth = "*", 0
+            x, height = POINT, len(stack)
         elif tok in _NOT_NUMBER:
             raise ParseError("cannot parse element at token %r" % (tok or None,))
         else:
-            tree, depth = int(tok), 1
+            x, height = int(tok), len(stack) + 1
+            if failed is None:
+                try:
+                    x = corolla(x, allow_zero=allow_zero)
+                except NBaseError as exc:
+                    failed, lowest = exc, _lowest(stack, height)
+        if height > depth:
+            depth = height
         # an element is complete: add it to its bracket, closing brackets
         # until one continues with another factor
         while stack:
-            frame = stack[-1]
-            frame[0].append(tree)
-            if depth > frame[1]:
-                frame[1] = depth
+            factors = stack[-1]
+            factors.append(x)
             tok = take()
             if tok == ",":
                 break
@@ -86,50 +97,37 @@ def _parse(text):
                     raise ParseError("unexpected end of input")
                 raise ParseError("expected ']', found %r"
                                  % (tok if tok in _NOT_NUMBER else int(tok),))
+            if failed is None:
+                n = factors[0].level + 1
+                try:
+                    x = (GammaSequence(n, tuple(factors), indices).validate()
+                         if raw and len(stack) == 1 else
+                         PlainElement(n, factors=factors, indices=indices))
+                except NBaseError as exc:
+                    failed, lowest = exc, _lowest(stack, depth)
             stack.pop()
-            tree, depth = (frame[0], indices), frame[1] + 1
         else:
             if take():
                 raise ParseError("trailing input after element literal")
-            return depth, tree
-
-
-def _build(tree, level, allow_zero, raw=False):
-    """Lift a syntax tree to a PlainElement at the requested level."""
-    if level == 0:
-        if tree != "*":
-            raise LevelMismatch("expected the point at level 0")
-        return POINT
-    if level == 1:
-        if tree == "*":
-            raise LevelMismatch("the point is not a level-1 element")
-        if not isinstance(tree, int):
-            raise LevelMismatch("expected an integer at level 1")
-        return corolla(tree, allow_zero=allow_zero)
-    if not isinstance(tree, tuple):
-        raise LevelMismatch("expected a bracketed element at level %d" % level)
-    factors, indices = tree
-    built = [_build(f, level - 1, allow_zero) for f in factors]
-    if raw:
-        return GammaSequence(level, tuple(built), tuple(indices)).validate()
-    return PlainElement(level, factors=built, indices=indices)
-
-
-def parse_element(text, level=None, allow_zero=False, raw=False):
-    """Parse an element literal; infer the level from nesting if not given.
-
-    With raw=True the indices need not be sorted and a GammaSequence is
-    returned (for the normalize entry point).
-    """
-    depth, tree = _parse(text)
+            break
     if level is None:
         level = depth
-    if level < depth:
-        raise LevelMismatch(
-            "literal has nesting depth %d, deeper than level %d" % (depth, level))
+    elif level != depth:
+        raise LevelMismatch("literal has nesting depth %d, not level %d" % (depth, level))
     if raw and level < 2:
         raise LevelMismatch("raw sequences live at level >= 2")
-    return _build(tree, level, allow_zero, raw=raw)
+    if failed is not None:
+        if lowest < depth:
+            raise LevelMismatch("literal of nesting depth %d has a leaf at another level" % depth)
+        raise failed
+    return x
+
+
+def _lowest(stack, height):
+    """Least leaf height up to here: height, or b + k for a level-k factor
+    inside b open brackets (0 for the point, wrong inside any bracket)."""
+    return min([height] + [b + f.level if f.level else 0
+                           for b, factors in enumerate(stack, 1) for f in factors])
 
 
 def format_element(x):

@@ -382,7 +382,7 @@ def encode(beta, n):
     if cmp(beta, _phi_bound(n)) >= 0:
         raise OutOfRange("%s is not below phi_%d(0)" % (format_ordinal(beta), n))
     z, left = _assemble(beta, n, n)
-    if left:
+    if left:  # a guard: the _phi_bound refusal above leaves no input that gets here
         raise LevelMismatch("%d requests left above level %d" % (len(left), n))
     return z
 
@@ -391,7 +391,7 @@ def _term_split(t, n):
     """(subscript as int, recursion value 1+b) of a non-1 term below phi_n(0)."""
     a, b = t
     a_int = to_int(a)
-    if a_int >= n:
+    if a_int >= n:  # a guard: encode's _phi_bound refusal leaves no input that gets here
         raise OutOfRange("term subscript %d at level %d" % (a_int, n))
     return a_int, add(ONE, b)
 
