@@ -11,10 +11,11 @@ comma, and numbers may have leading zeros.  The level is the caller's or
 the nesting depth: the most brackets around a number, plus one, or around
 the point.  One pass over the tokens builds each element as its bracket
 closes.  Of several faults the caller sees, by class: a ParseError (or the
-nesting SizeBound), then a LevelMismatch for a depth other than the level
-passed, then one for raw below level 2, then the first error of building,
-unless a leaf up to it is at a wrong level (a number under fewer brackets
-than the deepest, or the point in brackets), which is a LevelMismatch.
+SizeBound of the nesting or of a number too long for int()), then a
+LevelMismatch for a depth other than the level passed, then one for raw
+below level 2, then the first error of building, unless a leaf up to it is
+at a wrong level (a number under fewer brackets than the deepest, or the
+point in brackets), which is a LevelMismatch.
 `units.parse_relement` reads "0" (the level-1 zero) and "!e" (the level-2
 eraser) itself and passes allow_zero for arity-0 corollas.
 JSON mirror: {"level": n, "factors": [...], "indices": [...]}.
@@ -23,6 +24,7 @@ JSON mirror: {"level": n, "factors": [...], "indices": [...]}.
 from __future__ import annotations
 
 import re
+import sys
 
 from .elements import POINT, GammaSequence, PlainElement, corolla
 from .errors import LevelMismatch, NBaseError, ParseError, SizeBound
@@ -54,62 +56,70 @@ def parse_element(text, level=None, allow_zero=False, raw=False):
     stack = []  # the factors read so far in each open bracket
     depth = 0
     failed = None  # the first building error; building stops there
-    while True:
-        tok = take()
-        if tok == "[":
-            if len(stack) == MAX_NESTING:
-                raise SizeBound("element literal is nested deeper than %d"
-                                % MAX_NESTING)
-            stack.append([])
-            continue
-        if tok == "*":
-            x, height = POINT, len(stack)
-        elif tok in _NOT_NUMBER:
-            raise ParseError("cannot parse element at token %r" % (tok or None,))
-        else:
-            x, height = int(tok), len(stack) + 1
-            if failed is None:
-                try:
-                    x = corolla(x, allow_zero=allow_zero)
-                except NBaseError as exc:
-                    failed, lowest = exc, _lowest(stack, height)
-        if height > depth:
-            depth = height
-        # an element is complete: add it to its bracket, closing brackets
-        # until one continues with another factor
-        while stack:
-            factors = stack[-1]
-            factors.append(x)
+    try:
+        while True:
             tok = take()
-            if tok == ",":
-                break
-            indices = []
-            if tok == "|":
+            if tok == "[":
+                if len(stack) == MAX_NESTING:
+                    raise SizeBound("element literal is nested deeper than %d"
+                                    % MAX_NESTING)
+                stack.append([])
+                continue
+            if tok == "*":
+                x, height = POINT, len(stack)
+            elif tok in _NOT_NUMBER:
+                raise ParseError("cannot parse element at token %r" % (tok or None,))
+            else:
+                x, height = int(tok), len(stack) + 1
+                if failed is None:
+                    try:
+                        x = corolla(x, allow_zero=allow_zero)
+                    except NBaseError as exc:
+                        failed, lowest = exc, _lowest(stack, height)
+            if height > depth:
+                depth = height
+            # an element is complete: add it to its bracket, closing brackets
+            # until one continues with another factor
+            while stack:
+                factors = stack[-1]
+                factors.append(x)
                 tok = take()
-                while tok not in _NOT_NUMBER:
-                    indices.append(int(tok))
+                if tok == ",":
+                    break
+                indices = []
+                if tok == "|":
                     tok = take()
-                    if tok != ",":
-                        break
-                    tok = take()
-            if tok != "]":
-                if not tok:
-                    raise ParseError("unexpected end of input")
-                raise ParseError("expected ']', found %r"
-                                 % (tok if tok in _NOT_NUMBER else int(tok),))
-            if failed is None:
-                n = factors[0].level + 1
-                try:
-                    x = (GammaSequence(n, tuple(factors), indices).validate()
-                         if raw and len(stack) == 1 else
-                         PlainElement(n, factors=factors, indices=indices))
-                except NBaseError as exc:
-                    failed, lowest = exc, _lowest(stack, depth)
-            stack.pop()
-        else:
-            if take():
-                raise ParseError("trailing input after element literal")
-            break
+                    while tok not in _NOT_NUMBER:
+                        indices.append(int(tok))
+                        tok = take()
+                        if tok != ",":
+                            break
+                        tok = take()
+                if tok != "]":
+                    if not tok:
+                        raise ParseError("unexpected end of input")
+                    raise ParseError("expected ']', found %r"
+                                     % (tok if tok in _NOT_NUMBER else int(tok),))
+                if failed is None:
+                    n = factors[0].level + 1
+                    try:
+                        x = (GammaSequence(n, tuple(factors), indices).validate()
+                             if raw and len(stack) == 1 else
+                             PlainElement(n, factors=factors, indices=indices))
+                    except NBaseError as exc:
+                        failed, lowest = exc, _lowest(stack, depth)
+                stack.pop()
+            else:
+                if take():
+                    raise ParseError("trailing input after element literal")
+                break
+    except ValueError:
+        # int() of the current token: Python converts at most
+        # sys.get_int_max_str_digits() digits, and every other step of the
+        # scan raises only NBaseError
+        raise SizeBound("number of %d digits in element literal, more than"
+                        " the %d Python converts"
+                        % (len(tok), sys.get_int_max_str_digits())) from None
     if level is None:
         level = depth
     elif level != depth:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .errors import NotBinary, Overflow, RangeViolation, SizeBound
+from .elements import _CHECK
+from .errors import NotBinary, Overflow, RangeViolation, SizeBound, TrustViolation
 from .trees import _lists
 
 # symmetric_presentation builds n(n-1)/2 relators; a coset enumeration of
@@ -107,6 +108,14 @@ def todd_coxeter(pres, max_cosets=100_000):
     live cosets; a definition beyond it raises `Overflow`.  Rows of cosets
     lost to coincidences are dropped as soon as they are processed, so
     memory follows the live count.
+
+    A closed relator cycle is scanned once: when the scan from coset a
+    closes, every later coset b on the cycle from which the relator reads
+    again, forwards or backwards, gets the relator's bit, and b skips that
+    scan.  It would end where it began (a merge maps a closed cycle onto a
+    closed one), so the definitions, coincidences and table are those of
+    scanning every relator from every coset.  Under NBASE_CHECK=1 each
+    skipped cycle is walked and must close.
     """
     g = pres.generators
     width = 2 * g
@@ -125,15 +134,27 @@ def todd_coxeter(pres, max_cosets=100_000):
             col[l], col[-l] = c, c + 1
             inv.extend((c + 1, c))
     ncols = len(inv)
+    # per relator: its bit, its columns and their inverses, the last
+    # position, and its marks: each column paired with whether the word
+    # reads again from the cycle position q after it, forwards (a rotation)
+    # or backwards (the inverse columns from q down, a rotation of `back`);
+    # None if only the full cycle does
     scans = []
     for r in pres.relators:
         if r and r not in squares:
             cols = tuple(col[l] for l in r)
-            scans.append((cols, tuple(inv[c] for c in cols), len(cols) - 1))
+            icols = tuple(inv[c] for c in cols)
+            back = icols[::-1]
+            again = [cols[q:] + cols[:q] == cols or back[-q:] + back[:-q] == cols
+                     for q in range(1, len(cols) + 1)]
+            scans.append((1 << len(scans), cols, icols, len(cols) - 1,
+                          tuple(zip(cols, again)) if any(again[:-1]) else None))
 
-    # Rows have the public width; columns from ncols on stay unused until
-    # the final compaction.
-    table = [[None] * width]
+    # Rows have the public width, one more slot without an involution:
+    # slot ncols holds the bits of the scans a coset skips, None once it is
+    # processed; the slots from ncols on are dropped by the compaction.
+    slots = width + (ncols == width)
+    table = [[None] * slots]
     p = [0]
     live = 1
     merged = 0
@@ -152,7 +173,7 @@ def todd_coxeter(pres, max_cosets=100_000):
             raise Overflow("coset cap %d exceeded: defined %d, live %d, merged %d"
                            % (max_cosets, len(table), live, merged))
         b = len(table)
-        row = [None] * width
+        row = [None] * slots
         row[inv[c]] = a
         table.append(row)
         p.append(b)
@@ -231,30 +252,55 @@ def todd_coxeter(pres, max_cosets=100_000):
         if p[a] != a:
             a += 1
             continue
-        for cols, icols, last in scans:
-            scan_and_fill(a, cols, icols, last)
-            if p[a] != a:
-                break
+        skip = table[a][ncols] or 0
+        for bit, cols, icols, last, marks in scans:
+            if skip & bit and not _CHECK:
+                continue
+            f = a
+            for c in cols:
+                f = table[f][c]
+                if f is None:
+                    break
+            if skip & bit:
+                if f != a:
+                    raise TrustViolation("skipped scan of columns %r does not close"
+                                         " at coset %d" % (cols, a))
+                continue
+            if f != a:
+                scan_and_fill(a, cols, icols, last)
+                if p[a] != a:
+                    break
+            if marks:
+                f = a
+                for c, mark in marks:
+                    f = table[f][c]
+                    if mark and f > a:
+                        row = table[f]
+                        m = row[ncols]
+                        row[ncols] = bit if m is None else m | bit
         if p[a] == a:
             row = table[a]
+            row[ncols] = None
             for c in range(ncols):
                 if row[c] is None:
                     define(a, c)
         a += 1
 
-    # Compact: live rows keep their order and are renumbered, and each row,
-    # already at the public width, is remapped from a snapshot of itself
-    # (an involution's column into both public columns).  An undefined
-    # entry stays None, the value of holes.append, so one pass finds them.
+    # Compact: live rows keep their order and are renumbered; a new number k
+    # reuses the int of coset k when that coset is live (p[k] is then k), so
+    # few number objects are made.  Each row is remapped from a snapshot of
+    # itself to the public width (an involution's column into both public
+    # columns; the skip slot is dropped).  An undefined entry stays None, the
+    # value of holes.append, so one pass finds them.
     defined = len(table)
     new_id = [None] * defined
     k = 0
     for i in range(defined):
         if table[i] is not None:
-            new_id[i] = k
+            new_id[i] = p[k] if p[k] == k else k
             table[k] = table[i]
             k += 1
-    del table[k:]
+    del table[k:], p
     place = [col[s * l] for l in range(1, g + 1) for s in (1, -1)]
     holes = []
     for row in table:

@@ -3,9 +3,9 @@
 A slot that is not an integer, and a name that selects no format, kind or
 suite, are refused with ``RangeViolation`` and ``UnknownStrategy``, never
 with a bare ``TypeError`` or ``ValueError``.  A ``bool`` slot acts as its
-integer value.  ``compose`` converts the slot past its memo, so a float
-equal to a slot already composed there is answered from the memo; the
-compose cases below use slots that equal no integer.
+integer value.  ``compose`` refuses a float slot whether or not the integer
+it equals was composed before; ``test_compose_memo_slot.py`` pins that for
+integral floats, so the compose cases below use slots that equal no integer.
 """
 
 import pytest
