@@ -18,9 +18,9 @@ commuting square, and composition is equivariant under two-morphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
+from typing import NamedTuple
 
 from .elements import PlainElement, compose
 from .errors import (
@@ -55,8 +55,7 @@ def _check_perm(perm, degree, what, *args):
                              % (what % args, degree, perm))
 
 
-@dataclass(frozen=True)
-class OneMor2:
+class OneMor2(NamedTuple):
     """Prong permutations per node, with the target they produce.
 
     node_perms[t-1] sends the subtree at prong p of source factor t to
@@ -91,22 +90,22 @@ class OneMor2:
             p == tuple(range(1, len(p) + 1)) for p in self.node_perms)
 
 
-@dataclass(frozen=True)
-class TwoMor2:
+class TwoMor2(NamedTuple("TwoMor2", [("source", PlainElement), ("target", PlainElement),
+                                      ("sigma", tuple)])):
     """Factor permutation between two valid elements: target[t] = source[sigma[t]]."""
-    source: PlainElement
-    target: PlainElement
-    sigma: tuple
 
-    def __post_init__(self):
-        _check_perm(self.sigma, self.source.m, "sigma")
-        if self.target.m != self.source.m:
+    __slots__ = ()
+
+    def __new__(cls, source, target, sigma):
+        _check_perm(sigma, source.m, "sigma")
+        if target.m != source.m:
             raise DegreeMismatch("source and target must have equal factor counts")
-        for t in range(1, self.source.m + 1):
-            if self.target.factors[t - 1] != self.source.factors[self.sigma[t - 1] - 1]:
+        for t in range(1, source.m + 1):
+            if target.factors[t - 1] != source.factors[sigma[t - 1] - 1]:
                 raise MatchViolation(
                     "factor %d of the target is not factor %d of the source"
-                    % (t, self.sigma[t - 1]))
+                    % (t, sigma[t - 1]))
+        return super().__new__(cls, source, target, sigma)
 
     def transport(self, pos):
         """Target position of the factor at source position pos."""
@@ -127,8 +126,7 @@ class TwoMor2:
                 and self.sigma == tuple(range(1, len(self.sigma) + 1)))
 
 
-@dataclass(frozen=True)
-class Square12:
+class Square12(NamedTuple):
     """Commuting square: a one-edge and a two-edge out of a common source.
 
     top: source -> corner_two (two-morphism), left: source -> corner_one

@@ -36,7 +36,6 @@ image bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .elements import (
     MAX_ARITY,
@@ -57,7 +56,6 @@ from .trees import _lists
 
 # -- notation ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Ordinal:
     """Sum of terms, nonincreasing; a term is None (the ordinal 1) or a
     pair (a, b) of Ordinals standing for phi_a(b).
@@ -66,7 +64,11 @@ class Ordinal:
     recurses per nesting level; normal forms are unique, so equal values
     have one literal.
     """
-    terms: tuple = ()
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        self.terms = terms
 
     def is_zero(self):
         return not self.terms

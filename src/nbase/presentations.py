@@ -1,7 +1,7 @@
 """Finitely presented groups, coset enumeration, and tree presentations.
 
-Words are tuples of nonzero ints: g means generator g, -g its inverse.
-todd_coxeter runs relator-based (HLT) enumeration over the trivial
+Words are tuples of nonzero ints: g means generator g, -g its inverse;
+Presentation refuses any other letter.  todd_coxeter runs relator-based (HLT) enumeration over the trivial
 subgroup with immediate coincidence handling; when the table closes, the
 number of live cosets is the group order.
 """
@@ -9,9 +9,10 @@ number of live cosets is the group order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
+from operator import index
+from typing import NamedTuple
 
 from .elements import _CHECK
 from .errors import NotBinary, Overflow, RangeViolation, SizeBound, TrustViolation
@@ -35,19 +36,25 @@ def free_reduce(word):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: int
-    relators: tuple
+class Presentation(NamedTuple("Presentation", [("generators", int), ("relators", tuple)])):
+    """Generators a1..a_generators and freely reduced relator words, all integers."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "relators",
-                           tuple(free_reduce(r) for r in self.relators))
-        for r in self.relators:
+    __slots__ = ()
+
+    def __new__(cls, generators, relators):
+        try:
+            generators = index(generators)
+            relators = tuple(free_reduce(tuple(map(index, r))) for r in relators)
+        except TypeError:
+            raise RangeViolation("generator count and letters must be integers") from None
+        if generators < 0:
+            raise RangeViolation("generator count must be nonnegative, got %d" % generators)
+        for r in relators:
             for letter in r:
-                if letter == 0 or abs(letter) > self.generators:
+                if letter == 0 or abs(letter) > generators:
                     raise RangeViolation("letter %d outside generators 1..%d"
-                                         % (letter, self.generators))
+                                         % (letter, generators))
+        return super().__new__(cls, generators, relators)
 
     def gap_words(self):
         """Plain-text relator words like a1*a2*a1*a2."""
@@ -79,23 +86,23 @@ def symmetric_presentation(n):
     return Presentation(n - 1, tuple(rels))
 
 
-@dataclass
-class CosetTable:
-    """Enumeration state; complete tables expose the group order.
+class CosetTable(NamedTuple):
+    """A finished enumeration; a complete table gives the group order.
 
     `rows` holds the live cosets renumbered 0..live-1 in definition order:
     column 2(g-1) is generator g, column 2(g-1)+1 its inverse; for an
-    involution both hold the same coset.  `defined` counts every coset ever
+    involution both hold the same coset.  `order` is the live count of a
+    complete table, None otherwise.  `defined` counts every coset ever
     defined (coset 0 included), `merged` those identified with an earlier
     one by coincidence, so live = defined - merged.
     """
     generators: int
-    rows: list = field(default_factory=list)
-    complete: bool = False
-    order: int = None
-    live: int = None
-    defined: int = None
-    merged: int = None
+    rows: list
+    complete: bool
+    order: int
+    live: int
+    defined: int
+    merged: int
 
 
 def todd_coxeter(pres, max_cosets=100_000):
@@ -305,18 +312,13 @@ def todd_coxeter(pres, max_cosets=100_000):
     holes = []
     for row in table:
         row[:] = [holes.append(c) if row[c] is None else new_id[row[c]] for c in place]
-    ct = CosetTable(generators=g, rows=table, complete=not holes, live=k,
-                    defined=defined, merged=merged)
-    if not holes:
-        ct.order = k
-    return ct
+    return CosetTable(g, table, not holes, None if holes else k, k, defined, merged)
 
 
 # -- tree presentations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeStructure:
+class EdgeStructure(NamedTuple):
     """Adjacency tree of the factors of a binary element."""
     node_count: int
     edges: tuple          # sorted (u, v) pairs with u < v, 1-based factors
@@ -471,8 +473,7 @@ def schreier_sims_order(gens, n):
     return order
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(NamedTuple):
     nodes: int
     edges: int
     relators_hold: bool

@@ -1,14 +1,14 @@
 """Named property batteries runnable from the command line.
 
-Each suite returns a SuiteReport; results are deterministic per
-(seed, size).  Sizes: small keeps everything under a few seconds, medium
+Each suite returns a SuiteReport, the pass and fail counts and the first
+failure's text, which a `--jobs` worker pickles back; results are
+deterministic per (seed, size).  Sizes: small keeps everything under a few seconds, medium
 matches the acceptance-scale bounds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import ordinals
 from .elements import (
@@ -35,13 +35,11 @@ from .randgen import (
 from .units import check_runital_bijection
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    passed: int = 0
-    failed: int = 0
-    first_failure: str = None
-    notes: list = field(default_factory=list)
+    __slots__ = ("suite", "passed", "failed", "first_failure")
+
+    def __init__(self, suite):
+        self.suite, self.passed, self.failed, self.first_failure = suite, 0, 0, None
 
     def check(self, ok, describe):
         if ok:

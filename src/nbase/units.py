@@ -15,7 +15,7 @@ ones, which check_runital_bijection verifies at small bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elements import PlainElement, compose, corolla, embed, total_G
 from .enumeration import _enumerate, enumerate_elements
@@ -42,8 +42,7 @@ def parse_relement(text, level=None):
     return RElement(plain=parse_element(text, level=level, allow_zero=True))
 
 
-@dataclass(frozen=True)
-class RElement:
+class RElement(NamedTuple):
     """Either a plain element over the arity->=0 base or a degeneracy tag."""
     plain: PlainElement = None
     tag: str = None
@@ -154,8 +153,7 @@ def r_normalize(x):
     return RElement(plain=_below_root(children)[0])
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     level: int
     plain_count: int
     extended_count: int
