@@ -95,6 +95,7 @@ class TwoMor2(NamedTuple("TwoMor2", [("source", PlainElement), ("target", PlainE
     """Factor permutation between two valid elements: target[t] = source[sigma[t]]."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, source, target, sigma):
         _check_perm(sigma, source.m, "sigma")

@@ -1,7 +1,7 @@
 """Finitely presented groups, coset enumeration, and tree presentations.
 
-Words are tuples of nonzero ints: g means generator g, -g its inverse;
-Presentation refuses any other letter.  todd_coxeter runs relator-based (HLT) enumeration over the trivial
+Words are tuples of nonzero ints: g means generator g, -g its inverse.
+todd_coxeter runs relator-based (HLT) enumeration over the trivial
 subgroup with immediate coincidence handling; when the table closes, the
 number of live cosets is the group order.
 """
@@ -40,11 +40,12 @@ class Presentation(NamedTuple("Presentation", [("generators", int), ("relators",
     """Generators a1..a_generators and freely reduced relator words, all integers."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, generators, relators):
         try:
             generators = index(generators)
-            relators = tuple(free_reduce(tuple(map(index, r))) for r in relators)
+            relators = tuple(free_reduce(map(index, r)) for r in relators)
         except TypeError:
             raise RangeViolation("generator count and letters must be integers") from None
         if generators < 0:

@@ -1,9 +1,9 @@
 """Named property batteries runnable from the command line.
 
-Each suite returns a SuiteReport, the pass and fail counts and the first
+Each suite returns a SuiteReport, its pass and fail counts and the first
 failure's text, which a `--jobs` worker pickles back; results are
-deterministic per (seed, size).  Sizes: small keeps everything under a few seconds, medium
-matches the acceptance-scale bounds.
+deterministic per (seed, size).  Sizes: small keeps everything under a few
+seconds, medium matches the acceptance-scale bounds.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 ``Presentation`` reads the generator count and every letter with
 ``operator.index`` (so True is 1) and refuses anything else, and a negative
 generator count, with ``RangeViolation``, before any enumeration sees it.
-The same outcomes hold under ``python -O``.
+The same outcomes hold under ``python -O``, and ``_replace`` checks its
+result as construction does (for ``TwoMor2`` too).
 """
 
 import os
@@ -13,8 +14,10 @@ import sys
 import pytest
 
 import nbase
-from nbase.errors import RangeViolation
-from nbase.presentations import Presentation, todd_coxeter
+from nbase.errors import DegreeMismatch, RangeViolation
+from nbase.grammar import parse_element
+from nbase.morphisms import apply_two
+from nbase.presentations import Presentation, symmetric_presentation, todd_coxeter
 
 REFUSED = [
     (2, ((1.5, 1.5),)),   # a float letter, which no enumeration column names
@@ -56,3 +59,13 @@ def test_under_python_and_python_O(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", SCRIPT], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.stdout == "RangeViolation\n" * len(REFUSED) and proc.stderr == ""
+
+
+def test_replace_validates_as_construction_does():
+    with pytest.raises(RangeViolation):
+        symmetric_presentation(3)._replace(generators=-1)
+    assert symmetric_presentation(3)._replace(relators=[[1, True]]) == Presentation(2, ((1, 1),))
+    two = apply_two(parse_element("[2,2|1]"), (2, 1))
+    with pytest.raises(DegreeMismatch):
+        two._replace(sigma=(1, 1))
+    assert two._replace(sigma=(2, 1)) == two
