@@ -19,7 +19,7 @@ commuting square, and composition is equivariant under two-morphisms.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from .elements import PlainElement, compose
@@ -195,43 +195,29 @@ def apply_two(source, sigma):
 def two_morphisms_between(x, y):
     """All factor-matching permutations from x to y, in lexicographic order.
 
-    Target position t takes each unused source position holding an equal
-    factor, in increasing order, so only matching permutations are visited.
-    Their number is the product of the factorials of the equal-factor class
-    sizes; above MAX_TWO_MORPHISMS it raises SizeBound before any is built.
+    The source positions of each equal-factor class are permuted onto the
+    class's target positions, so only matching permutations are built.
+    Their number is the product of the factorials of the class sizes;
+    above MAX_TWO_MORPHISMS it raises SizeBound before any is built.
     """
-    if x.m != y.m:
+    sources, targets = {}, {}
+    for where, z in ((sources, x), (targets, y)):
+        for s, f in enumerate(z.factors, start=1):
+            where.setdefault(f, []).append(s)
+    if {f: len(s) for f, s in sources.items()} != {f: len(t) for f, t in targets.items()}:
         return []
-    positions = {}
-    for s, f in enumerate(x.factors, start=1):
-        positions.setdefault(f, []).append(s)
-    count = 1
-    for f, group in positions.items():
-        if y.factors.count(f) != len(group):
-            return []
-        count *= factorial(len(group))
+    count = prod(factorial(len(group)) for group in sources.values())
     if count > MAX_TWO_MORPHISMS:
         raise SizeBound("%d two-morphisms between the elements, bound is %d"
                         % (count, MAX_TWO_MORPHISMS))
-    out = []
-    sigma = []
-    used = set()
-    choices = [iter(positions[y.factors[0]])]
-    while choices:
-        s = next((s for s in choices[-1] if s not in used), None)
-        if s is None:
-            choices.pop()
-            if sigma:
-                used.discard(sigma.pop())
-            continue
-        sigma.append(s)
-        if len(sigma) == x.m:
-            out.append(TwoMor2(x, y, tuple(sigma)))
-            sigma.pop()
-        else:
-            used.add(s)
-            choices.append(iter(positions[y.factors[len(sigma)]]))
-    return out
+    sigmas = []
+    for choice in product(*map(permutations, sources.values())):
+        sigma = [0] * x.m
+        for f, perm in zip(sources, choice):
+            for t, s in zip(targets[f], perm):
+                sigma[t - 1] = s
+        sigmas.append(tuple(sigma))
+    return [TwoMor2(x, y, sigma) for sigma in sorted(sigmas)]
 
 
 def complete_square(f, g):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from operator import index
 from typing import NamedTuple
 
@@ -372,106 +372,47 @@ def tree_presentation(x):
 # -- concrete symmetric-group realization ----------------------------------
 
 
-def _perm_mul(a, b):
-    """Right-to-left composition of permutation tuples (apply b, then a)."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
-
-
-def _word_to_perm(word, gens, n):
-    perm = tuple(range(1, n + 1))
-    for letter in word:
-        base = gens[abs(letter) - 1]
-        perm = _perm_mul(perm, base)  # transpositions are involutions
-    return perm
-
-
 def schreier_sims_order(gens, n):
     """Order of the group generated by permutation tuples over 1..n.
 
-    Deterministic Schreier-Sims (Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 4.4.2): build a base and strong generating
-    set, then multiply the basic orbit lengths.  Work and memory are
-    polynomial in n and the generator count; no group element is listed.
+    Knuth's compact Schreier-Sims ("Efficient representation of perm
+    groups", Combinatorica 11, 1991): reps[k] maps each point of the orbit
+    of k, under the generators of level k, to an element that fixes 0..k-1
+    (0-based) and sends k there.  Every product of a rep with a generator
+    of its level is sifted through the chain; a residue that the chain does
+    not hold becomes a generator one level down.  The order is the product
+    of the orbit lengths.  The work runs on a last-in-first-out worklist,
+    in the order of Knuth's recursion but with no Python recursion.  Work
+    and memory are polynomial in n and the generator count; no group
+    element is listed.
     """
     ident = tuple(range(n))
+    reps = [{k: (ident, ident)} for k in range(n)]  # point -> (rep, inverse)
+    level = [[] for _ in range(n)]
 
     def mul(a, b):  # apply a, then b
         return tuple([b[i] for i in a])
 
-    def inv(a):
-        out = [0] * n
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
-
-    def moved(h):
-        return next(i for i in range(n) if h[i] != i)
-
-    base, strong = [], []
-    for gen in gens:
-        h = tuple(v - 1 for v in gen)
-        if h == ident:
-            continue
-        if all(h[b] == b for b in base):
-            base.append(moved(h))
-        strong.append(h)
-
-    def basic_orbit(i):
-        """Generators fixing base[:i] and a transversal of base[i] under them:
-        u = trans[x] maps base[i] to x."""
-        fixed = base[:i]
-        level = [s for s in strong if all(s[b] == b for b in fixed)]
-        trans = {base[i]: ident}
-        todo = [base[i]]
-        for x in todo:
-            u = trans[x]
-            for s in level:
-                y = s[x]
-                if y not in trans:
-                    trans[y] = mul(u, s)
-                    todo.append(y)
-        return level, trans
-
-    def strip(h, i):
-        """Sift h through levels i.. and return the residue and the level it
-        stopped at (len(base) when it passed every level)."""
-        for j in range(i, len(base)):
-            u = chain[j][1].get(h[base[j]])
-            if u is None:
-                return h, j
-            h = mul(h, inv(u))
-        return h, len(base)
-
-    def failing_schreier_generator(i):
-        """A Schreier generator of level i that does not sift to the
-        identity, as (residue, level it stopped at), or None."""
-        level, trans = chain[i]
-        for x, u in trans.items():
-            for s in level:
-                h, j = strip(mul(mul(u, s), inv(trans[s[x]])), i + 1)
-                if j < len(base) or h != ident:
-                    return h, j
-        return None
-
-    chain = [basic_orbit(i) for i in range(len(base))]
-    i = len(base) - 1
-    while i >= 0:
-        found = failing_schreier_generator(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        if j == len(base):
-            base.append(moved(h))
-            chain.append(None)
-        strong.append(h)
-        for k in range(i + 1, j + 1):
-            chain[k] = basic_orbit(k)
-        i = j
-    order = 1
-    for _level, trans in chain:
-        order *= len(trans)
-    return order
+    # (k, h, True): add h, which fixes 0..k-1, to level k unless the chain
+    # holds it; (k, h, False): h is in the group of level k, so its image of
+    # k is a new orbit point or its residue goes one level down
+    todo = [(0, tuple(v - 1 for v in g), True) for g in reversed(gens)]
+    while todo:
+        k, h, add = todo.pop()
+        if add:
+            g, j = h, k
+            while j < n and g[j] in reps[j]:
+                g = mul(g, reps[j][g[j]][1])
+                j += 1
+            if j < n:
+                level[k].append(h)
+                todo.extend((k, mul(u, h), False) for u, _ in reps[k].values())
+        elif h[k] in reps[k]:
+            todo.append((k + 1, mul(h, reps[k][h[k]][1]), True))
+        else:
+            reps[k][h[k]] = (h, tuple(sorted(ident, key=h.__getitem__)))
+            todo.extend((k, mul(h, g), False) for g in level[k])
+    return prod(len(orbit) for orbit in reps)
 
 
 class RealizationReport(NamedTuple):
@@ -486,23 +427,30 @@ class RealizationReport(NamedTuple):
 def verify_symmetric_realization(x, max_cosets=100_000):
     """Realize the edge generators as node transpositions and compare orders.
 
-    Every relator must map to the identity permutation, the transpositions
-    must generate all node permutations, and coset enumeration of the
-    presentation must give the same factorial order.  The generated order
-    comes from Schreier-Sims on the transpositions, independently of the
-    coset enumeration it is compared with.
+    Every relator must map to the identity permutation: its letters swap
+    node labels along their edges in one list, which must end as it began.
+    Coset enumeration of the presentation runs first, so a presentation
+    beyond `max_cosets` raises `Overflow` before any further work.  Then the
+    transpositions must generate all node permutations, and the enumeration
+    must give the same factorial order.  The generated order comes from
+    Schreier-Sims on the transpositions, independently of the coset
+    enumeration it is compared with.
     """
     pres, es = tree_presentation(x)
     n = es.node_count
-    gens = []
-    for (u, v) in es.edges:
-        perm = list(range(1, n + 1))
-        perm[u - 1], perm[v - 1] = v, u
-        gens.append(tuple(perm))
-    identity = tuple(range(1, n + 1))
-    holds = all(_word_to_perm(r, gens, n) == identity for r in pres.relators)
-    gen_order = schreier_sims_order(gens, n)
+
+    def closes(word):
+        labels = list(range(1, n + 1))
+        for letter in word:
+            u, v = es.edges[abs(letter) - 1]
+            labels[u - 1], labels[v - 1] = labels[v - 1], labels[u - 1]
+        return labels == sorted(labels)
+
+    holds = all(closes(r) for r in pres.relators)
     ct = todd_coxeter(pres, max_cosets=max_cosets)
+    gen_order = schreier_sims_order([tuple(v if i == u else u if i == v else i
+                                           for i in range(1, n + 1))
+                                     for u, v in es.edges], n)
     enum_order = ct.order if ct.complete else -1
     iso = holds and gen_order == factorial(n) and enum_order == factorial(n)
     return RealizationReport(n, len(es.edges), holds, gen_order, enum_order, iso)
