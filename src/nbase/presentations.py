@@ -393,12 +393,15 @@ def schreier_sims_order(gens, n):
     def mul(a, b):  # apply a, then b
         return tuple([b[i] for i in a])
 
-    # (k, h, True): add h, which fixes 0..k-1, to level k unless the chain
-    # holds it; (k, h, False): h is in the group of level k, so its image of
-    # k is a new orbit point or its residue goes one level down
-    todo = [(0, tuple(v - 1 for v in g), True) for g in reversed(gens)]
+    # a task (k, a, b, add) stands for h = a then b, multiplied when taken so
+    # that waiting tasks hold no new tuples.  add: h fixes 0..k-1 and joins
+    # level k unless the chain holds it; otherwise h is in the group of level
+    # k, and its image of k is a new orbit point or its residue goes one
+    # level down
+    todo = [(0, ident, tuple(v - 1 for v in g), True) for g in reversed(gens)]
     while todo:
-        k, h, add = todo.pop()
+        k, a, b, add = todo.pop()
+        h = mul(a, b)
         if add:
             g, j = h, k
             while j < n and g[j] in reps[j]:
@@ -406,12 +409,12 @@ def schreier_sims_order(gens, n):
                 j += 1
             if j < n:
                 level[k].append(h)
-                todo.extend((k, mul(u, h), False) for u, _ in reps[k].values())
+                todo.extend((k, u, h, False) for u, _ in reps[k].values())
         elif h[k] in reps[k]:
-            todo.append((k + 1, mul(h, reps[k][h[k]][1]), True))
+            todo.append((k + 1, h, reps[k][h[k]][1], True))
         else:
             reps[k][h[k]] = (h, tuple(sorted(ident, key=h.__getitem__)))
-            todo.extend((k, mul(h, g), False) for g in level[k])
+            todo.extend((k, h, g, False) for g in level[k])
     return prod(len(orbit) for orbit in reps)
 
 
