@@ -186,8 +186,8 @@ def _group_present(args):
 
 
 def _group_order(args):
-    from .presentations import todd_coxeter
-    ct = todd_coxeter(_group_presentation(args), max_cosets=args.max_cosets)
+    from .presentations import _coset_counts
+    ct = _coset_counts(_group_presentation(args), max_cosets=args.max_cosets)
     print(ct.order if ct.complete else "incomplete")
 
 

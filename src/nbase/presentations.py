@@ -76,15 +76,9 @@ def symmetric_presentation(n):
     if n > MAX_SYM_DEGREE:
         raise SizeBound("symmetric presentation is limited to n <= %d, got %d"
                         % (MAX_SYM_DEGREE, n))
-    rels = []
-    for i in range(1, n):
-        rels.append((i, i))
-    for i in range(1, n - 1):
-        rels.append((i, i + 1, i, i + 1, i, i + 1))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append((i, j, i, j))
-    return Presentation(n - 1, tuple(rels))
+    rels = ([(i, i) for i in range(1, n)] + [(i, i + 1) * 3 for i in range(1, n - 1)]
+            + [(i, j) * 2 for i in range(1, n) for j in range(i + 2, n)])
+    return Presentation(n - 1, rels)
 
 
 class CosetTable(NamedTuple):
@@ -112,21 +106,62 @@ def todd_coxeter(pres, max_cosets=100_000):
     A generator g with the relator g*g or g^-1*g^-1 is an involution: it
     gets one self-inverse column, so a coset's g and g^-1 neighbours are
     defined once, and its square relators are not scanned.  Every other
-    generator has a column and an inverse column.  `max_cosets` caps the
-    live cosets; a definition beyond it raises `Overflow`.  Rows of cosets
-    lost to coincidences are dropped as soon as they are processed, so
-    memory follows the live count.
+    generator has a column and an inverse column.  `max_cosets` (an integer
+    >= 1) caps the live cosets; a definition beyond it raises `Overflow`.
+    Rows of cosets lost to coincidences are dropped as soon as they are
+    processed, so memory follows the live count.
 
     A closed relator cycle is scanned once: when the scan from coset a
     closes, every later coset b on the cycle from which the relator reads
     again, forwards or backwards, gets the relator's bit, and b skips that
     scan.  It would end where it began (a merge maps a closed cycle onto a
     closed one), so the definitions, coincidences and table are those of
-    scanning every relator from every coset.  Under NBASE_CHECK=1 each
-    skipped cycle is walked and must close.
+    scanning every relator from every coset.  A coset visits only the bits
+    of its unskipped scans, lowest first; under NBASE_CHECK=1 it walks the
+    skipped ones too, which must close.  Callers that read only the order
+    (`verify_symmetric_realization`, `group order`) take `_coset_counts`,
+    which builds no public rows.
     """
     g = pres.generators
-    width = 2 * g
+    table, p, col, ncols, live, merged = _enumerate(pres, max_cosets)
+    # Compact: live rows keep their order and are renumbered, a new number k
+    # reusing the int of coset k when that coset is live (p[k] is then k),
+    # and remapped from a snapshot of themselves to the public width.  An
+    # undefined entry stays None, the value of holes.append.
+    defined = len(table)
+    new_id = [None] * defined
+    k = 0
+    for i in range(defined):
+        if table[i] is not None:
+            new_id[i] = p[k] if p[k] == k else k
+            table[k] = table[i]
+            k += 1
+    del table[k:], p
+    place = [col[s * l] for l in range(1, g + 1) for s in (1, -1)]
+    holes = []
+    for row in table:
+        row[:] = [holes.append(c) if row[c] is None else new_id[row[c]] for c in place]
+    return CosetTable(g, table, not holes, None if holes else k, k, defined, merged)
+
+
+def _coset_counts(pres, max_cosets=100_000):
+    """`todd_coxeter` with rows None, complete if every live row is filled."""
+    table, _, _, ncols, live, merged = _enumerate(pres, max_cosets)
+    complete = not any(None in row[:ncols] for row in filter(None, table))
+    return CosetTable(pres.generators, None, complete, live if complete else None,
+                      live, len(table), merged)
+
+
+def _enumerate(pres, max_cosets):
+    """HLT: (table, coincidence forest, letter -> column, columns, live, merged)."""
+    try:
+        max_cosets = index(max_cosets)
+    except TypeError:
+        raise RangeViolation("coset cap must be an integer, got %s"
+                             % type(max_cosets).__name__) from None
+    if max_cosets < 1:
+        raise RangeViolation("coset cap must be at least 1, got %d" % max_cosets)
+    g = pres.generators
     squares = {r for r in pres.relators if len(r) == 2 and r[0] == r[1]}
     involutions = {abs(r[0]) for r in squares}
     # col[l] is the internal column of letter l, inv[c] the column of the
@@ -142,12 +177,12 @@ def todd_coxeter(pres, max_cosets=100_000):
             col[l], col[-l] = c, c + 1
             inv.extend((c + 1, c))
     ncols = len(inv)
-    # per relator: its bit, its columns and their inverses, the last
-    # position, and its marks: each column paired with whether the word
-    # reads again from the cycle position q after it, forwards (a rotation)
-    # or backwards (the inverse columns from q down, a rotation of `back`);
-    # None if only the full cycle does
-    scans = []
+    # per relator bit: its columns and their inverses, the last position,
+    # whether the word reads again from every cycle position, and its marks:
+    # each column paired with whether the word reads again from the cycle
+    # position q after it, forwards (a rotation) or backwards (the inverse
+    # columns from q down, a rotation of `back`); None if only the full cycle does
+    scans = {}
     for r in pres.relators:
         if r and r not in squares:
             cols = tuple(col[l] for l in r)
@@ -155,14 +190,15 @@ def todd_coxeter(pres, max_cosets=100_000):
             back = icols[::-1]
             again = [cols[q:] + cols[:q] == cols or back[-q:] + back[:-q] == cols
                      for q in range(1, len(cols) + 1)]
-            scans.append((1 << len(scans), cols, icols, len(cols) - 1,
-                          tuple(zip(cols, again)) if any(again[:-1]) else None))
+            scans[1 << len(scans)] = (cols, icols, len(cols) - 1, all(again),
+                                      tuple(zip(cols, again)) if any(again[:-1]) else None)
+    full = (1 << len(scans)) - 1
 
     # Rows have the public width, one more slot without an involution:
     # slot ncols holds the bits of the scans a coset skips, None once it is
     # processed; the slots from ncols on are dropped by the compaction.
-    slots = width + (ncols == width)
-    table = [[None] * slots]
+    blank = [None] * ncols + [0] + [None] * (2 * g - ncols - 1)
+    table = [blank[:]]
     p = [0]
     live = 1
     merged = 0
@@ -181,7 +217,7 @@ def todd_coxeter(pres, max_cosets=100_000):
             raise Overflow("coset cap %d exceeded: defined %d, live %d, merged %d"
                            % (max_cosets, len(table), live, merged))
         b = len(table)
-        row = [None] * slots
+        row = blank[:]
         row[inv[c]] = a
         table.append(row)
         p.append(b)
@@ -234,10 +270,6 @@ def todd_coxeter(pres, max_cosets=100_000):
                     break
                 f = nxt
                 fi += 1
-            if fi > bi:
-                if f != b:
-                    coincidence(f, b)
-                return
             while bi >= fi:
                 nxt = table[b][icols[bi]]
                 if nxt is None:
@@ -257,13 +289,12 @@ def todd_coxeter(pres, max_cosets=100_000):
 
     a = 0
     while a < len(table):
-        if p[a] != a:
-            a += 1
-            continue
-        skip = table[a][ncols] or 0
-        for bit, cols, icols, last, marks in scans:
-            if skip & bit and not _CHECK:
-                continue
+        skip = table[a][ncols] if p[a] == a else None
+        todo = 0 if skip is None else full if _CHECK else full & ~skip
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            cols, icols, last, every, marks = scans[bit]
             f = a
             for c in cols:
                 f = table[f][c]
@@ -278,14 +309,18 @@ def todd_coxeter(pres, max_cosets=100_000):
                 scan_and_fill(a, cols, icols, last)
                 if p[a] != a:
                     break
-            if marks:
+            if every:
+                f = a
+                for c in cols:
+                    f = table[f][c]
+                    if f > a:
+                        table[f][ncols] |= bit
+            elif marks:
                 f = a
                 for c, mark in marks:
                     f = table[f][c]
                     if mark and f > a:
-                        row = table[f]
-                        m = row[ncols]
-                        row[ncols] = bit if m is None else m | bit
+                        table[f][ncols] |= bit
         if p[a] == a:
             row = table[a]
             row[ncols] = None
@@ -293,27 +328,7 @@ def todd_coxeter(pres, max_cosets=100_000):
                 if row[c] is None:
                     define(a, c)
         a += 1
-
-    # Compact: live rows keep their order and are renumbered; a new number k
-    # reuses the int of coset k when that coset is live (p[k] is then k), so
-    # few number objects are made.  Each row is remapped from a snapshot of
-    # itself to the public width (an involution's column into both public
-    # columns; the skip slot is dropped).  An undefined entry stays None, the
-    # value of holes.append, so one pass finds them.
-    defined = len(table)
-    new_id = [None] * defined
-    k = 0
-    for i in range(defined):
-        if table[i] is not None:
-            new_id[i] = p[k] if p[k] == k else k
-            table[k] = table[i]
-            k += 1
-    del table[k:], p
-    place = [col[s * l] for l in range(1, g + 1) for s in (1, -1)]
-    holes = []
-    for row in table:
-        row[:] = [holes.append(c) if row[c] is None else new_id[row[c]] for c in place]
-    return CosetTable(g, table, not holes, None if holes else k, k, defined, merged)
+    return table, p, col, ncols, live, merged
 
 
 # -- tree presentations ----------------------------------------------------
@@ -354,19 +369,13 @@ def tree_presentation(x):
     if n_edges > MAX_TREE_EDGES:
         raise SizeBound("tree presentation is limited to %d edges, got %d"
                         % (MAX_TREE_EDGES, n_edges))
-    rels = []
-    for i in range(1, n_edges + 1):
-        rels.append((i, i))
-    for i, j in combinations(range(1, n_edges + 1), 2):
-        shared = set(es.edges[i - 1]) & set(es.edges[j - 1])
-        if shared:
-            rels.append((i, j, i, j, i, j))
-        else:
-            rels.append((i, j, i, j))
+    rels = [(i, i) for i in range(1, n_edges + 1)]
+    rels += [(i, j) * (3 if set(es.edges[i - 1]) & set(es.edges[j - 1]) else 2)
+             for i, j in combinations(range(1, n_edges + 1), 2)]
     # edges share at most one node, and a node has at most three edges
-    for i, j, k in sorted(inc for inc in es.incidence.values() if len(inc) == 3):
-        rels.append((i, j, k, j, i, j, k, j))
-    return Presentation(n_edges, tuple(rels)), es
+    rels += [(i, j, k, j) * 2
+             for i, j, k in sorted(inc for inc in es.incidence.values() if len(inc) == 3)]
+    return Presentation(n_edges, rels), es
 
 
 # -- concrete symmetric-group realization ----------------------------------
@@ -433,7 +442,8 @@ def verify_symmetric_realization(x, max_cosets=100_000):
     Every relator must map to the identity permutation: its letters swap
     node labels along their edges in one list, which must end as it began.
     Coset enumeration of the presentation runs first, so a presentation
-    beyond `max_cosets` raises `Overflow` before any further work.  Then the
+    beyond `max_cosets` raises `Overflow` before any further work.  Only
+    its order is read, so it runs as `_coset_counts`, with no public rows.  Then the
     transpositions must generate all node permutations, and the enumeration
     must give the same factorial order.  The generated order comes from
     Schreier-Sims on the transpositions, independently of the coset
@@ -450,7 +460,7 @@ def verify_symmetric_realization(x, max_cosets=100_000):
         return labels == sorted(labels)
 
     holds = all(closes(r) for r in pres.relators)
-    ct = todd_coxeter(pres, max_cosets=max_cosets)
+    ct = _coset_counts(pres, max_cosets=max_cosets)
     gen_order = schreier_sims_order([tuple(v if i == u else u if i == v else i
                                            for i in range(1, n + 1))
                                      for u, v in es.edges], n)

@@ -1,17 +1,20 @@
 """Counts, `Overflow` messages and tables of coset enumeration, pinned.
 
 Callers that read only whether a table is complete and its order
-(`verify_symmetric_realization`, `nbase group order`) must get the counts
-of `todd_coxeter`: (complete, order, live, defined, merged).  The cases are
-S2-S7, every binary shape of 4-7 nodes, 20 seeded 8-node presentations, the
-quaternion group, Z7, and <a,b | a^3, b^3> (infinite) at a cap of 500.
-Shapes with the same adjacency edges have one presentation, which is
-enumerated once.
+(`verify_symmetric_realization`, `nbase group order`) take
+`presentations._coset_counts`, which skips the renumbered rows; it must
+give the counts of `todd_coxeter`: (complete, order, live, defined,
+merged).  The cases are S2-S7, every binary shape of 4-7 nodes, 20 seeded
+8-node presentations, the quaternion group, Z7, and <a,b | a^3, b^3>
+(infinite) at a cap of 500.  Shapes with the same adjacency edges have one
+presentation, which is enumerated once.
 
 PEAKS holds each presentation's peak live count, the least cap at which it
 completes: counts are taken at that cap, and one coset less must raise the
-same `Overflow` message on every path.  The tables are the same with check
-mode off and on.
+same `Overflow` message on both paths (on the 8-node presentations, on
+the order-only path; `test_coset_scan_skip` pins one on the other).  Both
+paths run as outside the test suite, with check mode off; the tables and
+counts are the same with it on, where every skipped scan is walked.
 """
 
 import hashlib
@@ -24,6 +27,7 @@ from nbase.enumeration import enumerate_elements
 from nbase.errors import Overflow
 from nbase.presentations import (
     Presentation,
+    _coset_counts,
     symmetric_presentation,
     todd_coxeter,
     tree_presentation,
@@ -108,6 +112,11 @@ def overflow_message(enumerate_, pres, cap):
     return str(exc.value)
 
 
+@pytest.fixture(autouse=True)
+def unchecked(monkeypatch):
+    monkeypatch.setattr(presentations, "_CHECK", False)
+
+
 def test_group_sizes():
     assert {name: len(group) for name, group in GROUPS.items()} == {
         "sym": 6, "small": 2, "tree4-6": 27, "tree7": 42, "tree8": 20}
@@ -117,28 +126,36 @@ def test_group_sizes():
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_counts_at_the_peak(name):
-    found = [counts(todd_coxeter(p, max_cosets=peak))
-             for p, peak in zip(GROUPS[name], PEAKS[name])]
+    found = []
+    for p, peak in zip(GROUPS[name], PEAKS[name]):
+        ct, oc = todd_coxeter(p, max_cosets=peak), _coset_counts(p, max_cosets=peak)
+        assert oc.rows is None and counts(oc) == counts(ct)
+        found.append(counts(ct))
     assert all(c[0] and c[1] == c[2] for c in found)
     assert digest(found) == COUNTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_overflow_one_below_the_peak(name):
-    found = [overflow_message(todd_coxeter, p, peak - 1)
-             for p, peak in zip(GROUPS[name], PEAKS[name]) if peak > 1]
-    assert digest(found) == MESSAGES[name]
+    paths = (_coset_counts,) if name == "tree8" else (todd_coxeter, _coset_counts)
+    for enumerate_ in paths:
+        found = [overflow_message(enumerate_, p, peak - 1)
+                 for p, peak in zip(GROUPS[name], PEAKS[name])]
+        assert digest(found) == MESSAGES[name]
 
 
 def test_infinite_group_overflows():
     message = "coset cap 500 exceeded: defined 500, live 500, merged 0"
-    assert overflow_message(todd_coxeter, INFINITE, 500) == message
+    for enumerate_ in (todd_coxeter, _coset_counts):
+        assert overflow_message(enumerate_, INFINITE, 500) == message
 
 
 @pytest.mark.parametrize("name", ["sym", "small", "tree4-6"])
 def test_tables_with_check_off_and_on(monkeypatch, name):
-    tables = []
+    tables, found = [], []
     for check in (False, True):
         monkeypatch.setattr(presentations, "_CHECK", check)
         tables.append([todd_coxeter(p) for p in GROUPS[name]])
+        found.append([_coset_counts(p) for p in GROUPS[name]])
     assert tables[0] == tables[1]
+    assert found[0] == found[1] == [ct._replace(rows=None) for ct in tables[0]]
