@@ -117,13 +117,12 @@ def todd_coxeter(pres, max_cosets=100_000):
     scan.  It would end where it began (a merge maps a closed cycle onto a
     closed one), so the definitions, coincidences and table are those of
     scanning every relator from every coset.  A coset visits only the bits
-    of its unskipped scans, lowest first; under NBASE_CHECK=1 it walks the
-    skipped ones too, which must close.  Callers that read only the order
+    of its unskipped scans, in relator order; under NBASE_CHECK=1 it walks
+    the skipped ones too, which must close.  Callers that read only the order
     (`verify_symmetric_realization`, `group order`) take `_coset_counts`,
     which builds no public rows.
     """
-    g = pres.generators
-    table, p, col, ncols, live, merged = _enumerate(pres, max_cosets)
+    table, p, col, _, _, merged = _enumerate(pres, max_cosets)
     # Compact: live rows keep their order and are renumbered, a new number k
     # reusing the int of coset k when that coset is live (p[k] is then k),
     # and remapped from a snapshot of themselves to the public width.  An
@@ -137,11 +136,11 @@ def todd_coxeter(pres, max_cosets=100_000):
             table[k] = table[i]
             k += 1
     del table[k:], p
-    place = [col[s * l] for l in range(1, g + 1) for s in (1, -1)]
+    place = [col[s * l] for l in range(1, pres.generators + 1) for s in (1, -1)]
     holes = []
     for row in table:
         row[:] = [holes.append(c) if row[c] is None else new_id[row[c]] for c in place]
-    return CosetTable(g, table, not holes, None if holes else k, k, defined, merged)
+    return CosetTable(pres.generators, table, not holes, None if holes else k, k, defined, merged)
 
 
 def _coset_counts(pres, max_cosets=100_000):
@@ -177,22 +176,24 @@ def _enumerate(pres, max_cosets):
             col[l], col[-l] = c, c + 1
             inv.extend((c + 1, c))
     ncols = len(inv)
-    # per relator bit: its columns and their inverses, the last position,
-    # whether the word reads again from every cycle position, and its marks:
-    # each column paired with whether the word reads again from the cycle
-    # position q after it, forwards (a rotation) or backwards (the inverse
-    # columns from q down, a rotation of `back`); None if only the full cycle does
-    scans = {}
-    for r in pres.relators:
-        if r and r not in squares:
-            cols = tuple(col[l] for l in r)
-            icols = tuple(inv[c] for c in cols)
-            back = icols[::-1]
-            again = [cols[q:] + cols[:q] == cols or back[-q:] + back[:-q] == cols
-                     for q in range(1, len(cols) + 1)]
-            scans[1 << len(scans)] = (cols, icols, len(cols) - 1, all(again),
-                                      tuple(zip(cols, again)) if any(again[:-1]) else None)
-    full = (1 << len(scans)) - 1
+    # scans[i] is the relator whose bit 2^(i-1) has length i.  The first
+    # relator has the top bit, so the highest set bit, which bit_length
+    # finds, is the next relator in order.  Per relator: its columns and
+    # their inverses, the last position, whether the word reads again from
+    # every cycle position, its marks (each column paired with whether the
+    # word reads again from the cycle position q after it, forwards, a
+    # rotation, or backwards, the inverse columns from q down, a rotation
+    # of `back`; None if only the full cycle does), and its bit.
+    scans = [None]
+    for r in reversed([r for r in pres.relators if r and r not in squares]):
+        cols = tuple(col[l] for l in r)
+        icols = tuple(inv[c] for c in cols)
+        back = icols[::-1]
+        again = [cols[q:] + cols[:q] == cols or back[-q:] + back[:-q] == cols
+                 for q in range(1, len(cols) + 1)]
+        scans.append((cols, icols, len(cols) - 1, all(again),
+                      tuple(zip(cols, again)) if any(again[:-1]) else None, 1 << len(scans) - 1))
+    full = (1 << len(scans) - 1) - 1
 
     # Rows have the public width, one more slot without an involution:
     # slot ncols holds the bits of the scans a coset skips, None once it is
@@ -292,9 +293,8 @@ def _enumerate(pres, max_cosets):
         skip = table[a][ncols] if p[a] == a else None
         todo = 0 if skip is None else full if _CHECK else full & ~skip
         while todo:
-            bit = todo & -todo
+            cols, icols, last, every, marks, bit = scans[todo.bit_length()]
             todo ^= bit
-            cols, icols, last, every, marks = scans[bit]
             f = a
             for c in cols:
                 f = table[f][c]
