@@ -118,9 +118,9 @@ def todd_coxeter(pres, max_cosets=100_000):
     closed one), so the definitions, coincidences and table are those of
     scanning every relator from every coset.  A coset visits only the bits
     of its unskipped scans, in relator order; under NBASE_CHECK=1 it walks
-    the skipped ones too, which must close.  Callers that read only the order
-    (`verify_symmetric_realization`, `group order`) take `_coset_counts`,
-    which builds no public rows.
+    the skipped ones too, which must close.  Callers that read only the
+    order (`verify_symmetric_realization`, `group order`) take
+    `_coset_counts`, which builds no public rows.
     """
     table, p, col, _, _, merged = _enumerate(pres, max_cosets)
     # Compact: live rows keep their order and are renumbered, a new number k
@@ -176,14 +176,14 @@ def _enumerate(pres, max_cosets):
             col[l], col[-l] = c, c + 1
             inv.extend((c + 1, c))
     ncols = len(inv)
-    # scans[i] is the relator whose bit 2^(i-1) has length i.  The first
-    # relator has the top bit, so the highest set bit, which bit_length
-    # finds, is the next relator in order.  Per relator: its columns and
-    # their inverses, the last position, whether the word reads again from
-    # every cycle position, its marks (each column paired with whether the
-    # word reads again from the cycle position q after it, forwards, a
-    # rotation, or backwards, the inverse columns from q down, a rotation
-    # of `back`; None if only the full cycle does), and its bit.
+    # Per relator: its columns and their inverses, the last position,
+    # whether the word reads again from every cycle position, its marks,
+    # and its bit.  A mark pairs a column with whether the word reads again
+    # from the cycle position q after it, forwards (a rotation) or backwards
+    # (the inverse columns from q down, a rotation of `back`); marks are
+    # None if only the full cycle does.  scans[i] holds the relator whose
+    # bit 2^(i-1) has length i: the first relator has the top bit, so
+    # bit_length finds the next relator in order.
     scans = [None]
     for r in reversed([r for r in pres.relators if r and r not in squares]):
         cols = tuple(col[l] for l in r)
