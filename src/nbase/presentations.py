@@ -3,7 +3,10 @@
 Words are tuples of nonzero ints: g means generator g, -g its inverse.
 todd_coxeter runs relator-based (HLT) enumeration over the trivial
 subgroup with immediate coincidence handling; when the table closes, the
-number of live cosets is the group order.
+number of live cosets is the group order.  The private order-only path
+also enumerates over a subgroup given by generator words, which is how
+`verify_symmetric_realization` bounds a tree presentation's order by a
+chain of subgroups.
 """
 
 from __future__ import annotations
@@ -143,16 +146,19 @@ def todd_coxeter(pres, max_cosets=100_000):
     return CosetTable(pres.generators, table, not holes, None if holes else k, k, defined, merged)
 
 
-def _coset_counts(pres, max_cosets=100_000):
-    """`todd_coxeter` with rows None, complete if every live row is filled."""
-    table, _, _, ncols, live, merged = _enumerate(pres, max_cosets)
+def _coset_counts(pres, max_cosets=100_000, subgroup=()):
+    """`todd_coxeter` with rows None, complete if every live row is filled.
+
+    With `subgroup` words it counts the cosets of the subgroup they
+    generate: a complete table's order is then that subgroup's index.
+    """
+    table, _, _, ncols, live, merged = _enumerate(pres, max_cosets, subgroup)
     complete = not any(None in row[:ncols] for row in filter(None, table))
     return CosetTable(pres.generators, None, complete, live if complete else None,
                       live, len(table), merged)
 
 
-def _enumerate(pres, max_cosets):
-    """HLT: (table, coincidence forest, letter -> column, columns, live, merged)."""
+def _cap(max_cosets):
     try:
         max_cosets = index(max_cosets)
     except TypeError:
@@ -160,6 +166,17 @@ def _enumerate(pres, max_cosets):
                              % type(max_cosets).__name__) from None
     if max_cosets < 1:
         raise RangeViolation("coset cap must be at least 1, got %d" % max_cosets)
+    return max_cosets
+
+
+def _enumerate(pres, max_cosets, subgroup=()):
+    """HLT: (table, coincidence forest, letter -> column, columns, live, merged).
+
+    Coset 0 is the subgroup generated by the `subgroup` words (letters of
+    `pres`): each is scanned and filled at coset 0 before the main loop,
+    as HLT does, so the table enumerates that subgroup's cosets.
+    """
+    max_cosets = _cap(max_cosets)
     g = pres.generators
     squares = {r for r in pres.relators if len(r) == 2 and r[0] == r[1]}
     involutions = {abs(r[0]) for r in squares}
@@ -288,6 +305,9 @@ def _enumerate(pres, max_cosets):
             f = define(f, cols[fi])
             fi += 1
 
+    for w in subgroup:
+        cols = tuple(col[l] for l in w)
+        scan_and_fill(0, cols, tuple(inv[c] for c in cols), len(cols) - 1)
     a = 0
     while a < len(table):
         skip = table[a][ncols] if p[a] == a else None
@@ -436,18 +456,62 @@ class RealizationReport(NamedTuple):
     isomorphic: bool
 
 
+def _chain_counts(pres, es, cap):
+    """A complete order-n! table, the counts summed over a chain, or None.
+
+    Nodes are taken breadth-first from node 1, so the first k span a
+    subtree T_k, and the edge reaching node k becomes generator k - 1.
+    Step k enumerates the cosets of H = <edges of T_(k-1)> in G_k, the
+    group of the edges of T_k and the relators of `pres` in them.  H is an
+    image of G_(k-1), so if every step closes at k cosets, |G_n| <= n!.
+    Any other count, or an `Overflow` under `cap`, proves nothing: None.
+    """
+    order, number = [1], {}
+    for u in order:
+        for e in es.incidence.get(u, ()):
+            if e not in number:
+                number[e] = len(order)
+                order.append(sum(es.edges[e - 1]) - u)
+    tops = [[] for _ in order]
+    for r in pres.relators:
+        r = tuple(number[l] if l > 0 else -number[-l] for l in r)
+        tops[max(map(abs, r))].append(r)
+    rels, defined, merged = [], 0, 0
+    for k in range(2, len(order) + 1):
+        rels += tops[k - 1]
+        try:
+            ct = _coset_counts(Presentation(k - 1, rels), cap, [(h,) for h in range(1, k - 1)])
+        except Overflow:
+            return None
+        if ct.order != k:
+            return None
+        defined += ct.defined
+        merged += ct.merged
+    return CosetTable(pres.generators, None, True, factorial(len(order)),
+                      defined - merged, defined, merged)
+
+
 def verify_symmetric_realization(x, max_cosets=100_000):
     """Realize the edge generators as node transpositions and compare orders.
 
     Every relator must map to the identity permutation: its letters swap
     node labels along their edges in one list, which must end as it began.
-    Coset enumeration of the presentation runs first, so a presentation
-    beyond `max_cosets` raises `Overflow` before any further work.  Only
-    its order is read, so it runs as `_coset_counts`, with no public rows.  Then the
-    transpositions must generate all node permutations, and the enumeration
-    must give the same factorial order.  The generated order comes from
-    Schreier-Sims on the transpositions, independently of the coset
-    enumeration it is compared with.
+    The transpositions must generate all n! node permutations, and the
+    presentation must define a group of the same order.  The generated
+    order comes from Schreier-Sims on the transpositions, independently of
+    the coset enumerations it is compared with.
+
+    If n! exceeds `max_cosets`, the full enumeration of the presentation
+    runs first, as `_coset_counts` with no public rows, and raises
+    `Overflow` before Schreier-Sims runs.  Otherwise, once the relators
+    hold and Schreier-Sims gives n! (so |G| >= n!), the order is bounded
+    by `_chain_counts`: n - 1 enumerations of k cosets each (Todd-Coxeter
+    over a subgroup, Holt, Eick & O'Brien 2005, ch. 5, along the induction
+    of Coxeter & Moser 1957), which prove |G| <= n!.  A chain that does
+    not close proves nothing, and the full enumeration under `max_cosets`
+    decides.  Under NBASE_CHECK=1 a chain that closes is compared with the
+    full enumeration under the same cap, and a mismatch raises
+    `TrustViolation`.
     """
     pres, es = tree_presentation(x)
     n = es.node_count
@@ -460,10 +524,20 @@ def verify_symmetric_realization(x, max_cosets=100_000):
         return labels == sorted(labels)
 
     holds = all(closes(r) for r in pres.relators)
-    ct = _coset_counts(pres, max_cosets=max_cosets)
+    full = factorial(n)
+    ct = _coset_counts(pres, max_cosets) if full > _cap(max_cosets) else None
     gen_order = schreier_sims_order([tuple(v if i == u else u if i == v else i
                                            for i in range(1, n + 1))
                                      for u, v in es.edges], n)
+    if ct is None:
+        ct = holds and gen_order == full and _chain_counts(pres, es, max_cosets)
+        if not ct:
+            ct = _coset_counts(pres, max_cosets)
+        elif _CHECK:
+            check = _coset_counts(pres, max_cosets).order
+            if check != ct.order:
+                raise TrustViolation("chain of subgroups gives order %d, full enumeration %r"
+                                     % (ct.order, check))
     enum_order = ct.order if ct.complete else -1
-    iso = holds and gen_order == factorial(n) and enum_order == factorial(n)
+    iso = holds and gen_order == full and enum_order == full
     return RealizationReport(n, len(es.edges), holds, gen_order, enum_order, iso)
