@@ -524,13 +524,13 @@ def verify_symmetric_realization(x, max_cosets=100_000):
         return labels == sorted(labels)
 
     holds = all(closes(r) for r in pres.relators)
-    full = factorial(n)
-    ct = _coset_counts(pres, max_cosets) if full > _cap(max_cosets) else None
+    sym = factorial(n)
+    ct = _coset_counts(pres, max_cosets) if sym > _cap(max_cosets) else None
     gen_order = schreier_sims_order([tuple(v if i == u else u if i == v else i
                                            for i in range(1, n + 1))
                                      for u, v in es.edges], n)
     if ct is None:
-        ct = holds and gen_order == full and _chain_counts(pres, es, max_cosets)
+        ct = holds and gen_order == sym and _chain_counts(pres, es, max_cosets)
         if not ct:
             ct = _coset_counts(pres, max_cosets)
         elif _CHECK:
@@ -539,5 +539,5 @@ def verify_symmetric_realization(x, max_cosets=100_000):
                 raise TrustViolation("chain of subgroups gives order %d, full enumeration %r"
                                      % (ct.order, check))
     enum_order = ct.order if ct.complete else -1
-    iso = holds and gen_order == full and enum_order == full
+    iso = holds and gen_order == sym and enum_order == sym
     return RealizationReport(n, len(es.edges), holds, gen_order, enum_order, iso)
