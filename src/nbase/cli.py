@@ -187,8 +187,7 @@ def _group_present(args):
 
 def _group_order(args):
     from .presentations import _coset_counts
-    ct = _coset_counts(_group_presentation(args), max_cosets=args.max_cosets)
-    print(ct.order if ct.complete else "incomplete")
+    print(_coset_counts(_group_presentation(args), max_cosets=args.max_cosets).order)
 
 
 def _group_verify(args):

@@ -85,14 +85,15 @@ def symmetric_presentation(n):
 
 
 class CosetTable(NamedTuple):
-    """A finished enumeration; a complete table gives the group order.
+    """A closed enumeration; its live count is the group order.
 
     `rows` holds the live cosets renumbered 0..live-1 in definition order:
     column 2(g-1) is generator g, column 2(g-1)+1 its inverse; for an
-    involution both hold the same coset.  `order` is the live count of a
-    complete table, None otherwise.  `defined` counts every coset ever
-    defined (coset 0 included), `merged` those identified with an earlier
-    one by coincidence, so live = defined - merged.
+    involution both hold the same coset.  An enumeration that does not
+    close raises `Overflow`, so `complete` is always True and
+    `order == live`.  `defined` counts every coset ever defined (coset 0
+    included), `merged` those identified with an earlier one by
+    coincidence, so live = defined - merged.
     """
     generators: int
     rows: list
@@ -112,7 +113,8 @@ def todd_coxeter(pres, max_cosets=100_000):
     generator has a column and an inverse column.  `max_cosets` (an integer
     >= 1) caps the live cosets; a definition beyond it raises `Overflow`.
     Rows of cosets lost to coincidences are dropped as soon as they are
-    processed, so memory follows the live count.
+    processed, so memory follows the live count.  The table is returned
+    only once it closes, and then has no undefined entry (`_enumerate`).
 
     A closed relator cycle is scanned once: when the scan from coset a
     closes, every later coset b on the cycle from which the relator reads
@@ -125,11 +127,10 @@ def todd_coxeter(pres, max_cosets=100_000):
     order (`verify_symmetric_realization`, `group order`) take
     `_coset_counts`, which builds no public rows.
     """
-    table, p, col, _, _, merged = _enumerate(pres, max_cosets)
+    table, p, col, _, merged = _enumerate(pres, max_cosets)
     # Compact: live rows keep their order and are renumbered, a new number k
     # reusing the int of coset k when that coset is live (p[k] is then k),
-    # and remapped from a snapshot of themselves to the public width.  An
-    # undefined entry stays None, the value of holes.append.
+    # and remapped from a snapshot of themselves to the public width.
     defined = len(table)
     new_id = [None] * defined
     k = 0
@@ -140,22 +141,19 @@ def todd_coxeter(pres, max_cosets=100_000):
             k += 1
     del table[k:], p
     place = [col[s * l] for l in range(1, pres.generators + 1) for s in (1, -1)]
-    holes = []
     for row in table:
-        row[:] = [holes.append(c) if row[c] is None else new_id[row[c]] for c in place]
-    return CosetTable(pres.generators, table, not holes, None if holes else k, k, defined, merged)
+        row[:] = [new_id[row[c]] for c in place]
+    return CosetTable(pres.generators, table, True, k, k, defined, merged)
 
 
 def _coset_counts(pres, max_cosets=100_000, subgroup=()):
-    """`todd_coxeter` with rows None, complete if every live row is filled.
+    """`todd_coxeter` with rows None and no renumbering.
 
     With `subgroup` words it counts the cosets of the subgroup they
-    generate: a complete table's order is then that subgroup's index.
+    generate: the order is then that subgroup's index.
     """
-    table, _, _, ncols, live, merged = _enumerate(pres, max_cosets, subgroup)
-    complete = not any(None in row[:ncols] for row in filter(None, table))
-    return CosetTable(pres.generators, None, complete, live if complete else None,
-                      live, len(table), merged)
+    table, _, _, live, merged = _enumerate(pres, max_cosets, subgroup)
+    return CosetTable(pres.generators, None, True, live, live, len(table), merged)
 
 
 def _cap(max_cosets):
@@ -170,11 +168,14 @@ def _cap(max_cosets):
 
 
 def _enumerate(pres, max_cosets, subgroup=()):
-    """HLT: (table, coincidence forest, letter -> column, columns, live, merged).
+    """HLT: (table, coincidence forest, letter -> column, live, merged).
 
     Coset 0 is the subgroup generated by the `subgroup` words (letters of
     `pres`): each is scanned and filled at coset 0 before the main loop,
-    as HLT does, so the table enumerates that subgroup's cosets.
+    as HLT does, so the table enumerates that subgroup's cosets.  HLT fills
+    each row as it processes the coset, and coincidences refill the rows
+    they touch, so a closed table has no undefined entry (Holt, Eick &
+    O'Brien 2005, 5.1); under NBASE_CHECK=1 one raises `TrustViolation`.
     """
     max_cosets = _cap(max_cosets)
     g = pres.generators
@@ -193,14 +194,13 @@ def _enumerate(pres, max_cosets, subgroup=()):
             col[l], col[-l] = c, c + 1
             inv.extend((c + 1, c))
     ncols = len(inv)
-    # Per relator: its columns and their inverses, the last position,
-    # whether the word reads again from every cycle position, its marks,
-    # and its bit.  A mark pairs a column with whether the word reads again
-    # from the cycle position q after it, forwards (a rotation) or backwards
-    # (the inverse columns from q down, a rotation of `back`); marks are
-    # None if only the full cycle does.  scans[i] holds the relator whose
-    # bit 2^(i-1) has length i: the first relator has the top bit, so
-    # bit_length finds the next relator in order.
+    # Per relator: its columns and their inverses, the last position, its
+    # marks, and its bit.  A mark pairs a column with whether the word reads
+    # again from the cycle position q after it, forwards (a rotation) or
+    # backwards (the inverse columns from q down, a rotation of `back`);
+    # marks are None if only the full cycle does.  scans[i] holds the
+    # relator whose bit 2^(i-1) has length i: the first relator has the top
+    # bit, so bit_length finds the next relator in order.
     scans = [None]
     for r in reversed([r for r in pres.relators if r and r not in squares]):
         cols = tuple(col[l] for l in r)
@@ -208,7 +208,7 @@ def _enumerate(pres, max_cosets, subgroup=()):
         back = icols[::-1]
         again = [cols[q:] + cols[:q] == cols or back[-q:] + back[:-q] == cols
                  for q in range(1, len(cols) + 1)]
-        scans.append((cols, icols, len(cols) - 1, all(again),
+        scans.append((cols, icols, len(cols) - 1,
                       tuple(zip(cols, again)) if any(again[:-1]) else None, 1 << len(scans) - 1))
     full = (1 << len(scans) - 1) - 1
 
@@ -313,7 +313,7 @@ def _enumerate(pres, max_cosets, subgroup=()):
         skip = table[a][ncols] if p[a] == a else None
         todo = 0 if skip is None else full if _CHECK else full & ~skip
         while todo:
-            cols, icols, last, every, marks, bit = scans[todo.bit_length()]
+            cols, icols, last, marks, bit = scans[todo.bit_length()]
             todo ^= bit
             f = a
             for c in cols:
@@ -329,13 +329,7 @@ def _enumerate(pres, max_cosets, subgroup=()):
                 scan_and_fill(a, cols, icols, last)
                 if p[a] != a:
                     break
-            if every:
-                f = a
-                for c in cols:
-                    f = table[f][c]
-                    if f > a:
-                        table[f][ncols] |= bit
-            elif marks:
+            if marks:
                 f = a
                 for c, mark in marks:
                     f = table[f][c]
@@ -348,7 +342,11 @@ def _enumerate(pres, max_cosets, subgroup=()):
                 if row[c] is None:
                     define(a, c)
         a += 1
-    return table, p, col, ncols, live, merged
+    if _CHECK:
+        for a, row in enumerate(table):
+            if row is not None and None in row[:ncols]:
+                raise TrustViolation("closed coset table leaves coset %d undefined" % a)
+    return table, p, col, live, merged
 
 
 # -- tree presentations ----------------------------------------------------
@@ -510,8 +508,8 @@ def verify_symmetric_realization(x, max_cosets=100_000):
     of Coxeter & Moser 1957), which prove |G| <= n!.  A chain that does
     not close proves nothing, and the full enumeration under `max_cosets`
     decides.  Under NBASE_CHECK=1 a chain that closes is compared with the
-    full enumeration under the same cap, and a mismatch raises
-    `TrustViolation`.
+    full enumeration under the same cap, and a mismatch (not an `Overflow`)
+    raises `TrustViolation`.
     """
     pres, es = tree_presentation(x)
     n = es.node_count
@@ -534,10 +532,12 @@ def verify_symmetric_realization(x, max_cosets=100_000):
         if not ct:
             ct = _coset_counts(pres, max_cosets)
         elif _CHECK:
-            check = _coset_counts(pres, max_cosets).order
+            try:
+                check = _coset_counts(pres, max_cosets).order
+            except Overflow:  # its peak may exceed a cap that the chain stays under
+                check = ct.order
             if check != ct.order:
-                raise TrustViolation("chain of subgroups gives order %d, full enumeration %r"
+                raise TrustViolation("chain of subgroups gives order %d, full enumeration %d"
                                      % (ct.order, check))
-    enum_order = ct.order if ct.complete else -1
-    iso = holds and gen_order == sym and enum_order == sym
-    return RealizationReport(n, len(es.edges), holds, gen_order, enum_order, iso)
+    iso = holds and gen_order == sym == ct.order
+    return RealizationReport(n, len(es.edges), holds, gen_order, ct.order, iso)
