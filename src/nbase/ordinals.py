@@ -441,9 +441,6 @@ def _assemble(gamma, j, n):
 
 def image_sweep(n, max_factors, max_arity):
     """Set of evaluation values over the bounded enumeration."""
-    from .enumeration import enumerate_elements
+    from .enumeration import _enumerate
 
-    values = set()
-    for e in enumerate_elements(n, max_factors, max_arity):
-        values.add(eval_phin(e))
-    return values
+    return set(map(eval_phin, _enumerate(n, max_factors, max_arity)))

@@ -83,15 +83,16 @@ def suite_axioms(seed, size):
     rng = random.Random(seed)
     # exhaustive associativity at level 2 within the node bound
     elems = enumerate_elements(2, cfg["pairs_nodes"] - 1, 3)
+    pieces = enumerate_elements(2, 2, 3)
     for x in elems:
         if x.m < 2:
             continue
         for i in range(1, x.m):
             for j in range(i + 1, x.m + 1):
-                for y in enumerate_elements(2, 2, 3):
+                for y in pieces:
                     if total_G(y) != x.factors[i - 1]:
                         continue
-                    for z in enumerate_elements(2, 2, 3):
+                    for z in pieces:
                         if total_G(z) != x.factors[j - 1]:
                             continue
                         w = check_associativity(x, i, y, j, z)

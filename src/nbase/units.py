@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .elements import PlainElement, compose, corolla, embed, total_G
-from .enumeration import _enumerate, enumerate_elements
+from .enumeration import _enumerate
 from .errors import NotComposable, NotImplementedLevel, RangeViolation
 from .grammar import format_element
 from .trees import _below_root, splice, to_tree
@@ -173,7 +173,7 @@ def check_runital_bijection(level, max_factors=3, max_arity=3):
         plain = {corolla(a) for a in range(1, max_arity + 1)}
         plugged = [corolla(a, allow_zero=True) for a in range(max_arity + 1)]
     elif level == 2:
-        plain = set(enumerate_elements(2, max_factors, max_arity))
+        plain = set(_enumerate(2, max_factors, max_arity))
         plugged = _enumerate(2, max_factors, max_arity, 0)
     else:
         raise NotImplementedLevel("bijection check is defined for level <= 2")
