@@ -80,7 +80,7 @@ class PlainElement:
             self = _interned.get(key)
             if self is None:
                 self = _interned.setdefault(key, _new(
-                    cls, level, arity if level else None, None, None,
+                    cls, key[0], arity if level else None, None, None,
                     POINT if level else None))
             return self
         factors = tuple(factors)
@@ -116,6 +116,8 @@ def _ints(indices):
 
 def _validate(level, factors, indices):
     """Check every invariant of a level >= 2 element; returns its total."""
+    if level.__class__ is not int or level < 2:
+        raise LevelMismatch("element level must be an int >= 2, got %r" % (level,))
     if not factors:
         raise RangeViolation("level-%d element needs at least one factor" % level)
     if len(indices) != len(factors) - 1:
@@ -233,6 +235,8 @@ class GammaSequence(NamedTuple):
         """The sequence, its indices made ints, if each graft is valid."""
         if self.level < 2:
             raise LevelMismatch("raw sequences live at level >= 2")
+        if not self.factors:
+            raise InvalidSequence("a raw sequence needs at least one factor")
         if len(self.indices) != len(self.factors) - 1:
             raise InvalidSequence(
                 "expected %d graft indices for %d factors, got %d"

@@ -15,22 +15,18 @@ from math import comb, factorial, prod
 
 from .elements import POINT, _execute, _trusted, corolla, slots_F, total_G
 from .errors import LevelMismatch, RangeViolation, SizeBound
-from .grammar import MAX_NESTING, format_element
+from .grammar import MAX_NESTING, _literal, format_element
 
 
 def enumerate_elements(level, max_factors, max_arity):
     """All elements of the level within the bounds, sorted by literal."""
-    found = _enumerate(level, max_factors, max_arity)
+    found = _enumerate(level, max_factors, max_arity, 1)
     if level < 2:
         return sorted(found, key=format_element)
     # the key is format_element's literal, from each factor's literal once
-    # (min_arity is spelled out: the cache keys on the arguments as passed);
-    # concatenation, as %-formatting the same keys left about 0.1 MB more
-    # peak RSS in a level2_calculus run
     literal = {f: format_element(f)
                for f in _enumerate(level - 1, max_factors, max_arity, 1)}.__getitem__
-    return sorted(found, key=lambda x: "[" + ",".join(map(literal, x.factors))
-                  + "|" + ",".join(map(str, x.indices)) + "]")
+    return sorted(found, key=lambda x: _literal(map(literal, x.factors), x.indices))
 
 
 # _graft_sequences raises SizeBound once the sequences it yielded have more
@@ -70,13 +66,16 @@ def _graft_sequences(pool, max_factors):
 MAX_ELEMENTS = 250_000
 
 
-@lru_cache(maxsize=None)
-def _enumerate(level, max_factors, max_arity, min_arity=1):
+@lru_cache(maxsize=None, typed=True)
+def _enumerate(level, max_factors, max_arity, min_arity, /):
     """Elements in generation order; min_arity 0 admits the arity-0 corolla.
 
-    One call per level below, so a level above grammar.MAX_NESTING (the
-    depth the parser and formatter admit) raises SizeBound.
+    The levels below are built bottom up, one cached pool each.  Bounds are
+    ints (the cache is typed); a level above grammar.MAX_NESTING raises SizeBound.
     """
+    bounds = (level, max_factors, max_arity, min_arity)
+    if any(b.__class__ is not int for b in bounds):
+        raise RangeViolation("enumeration bounds must be integers, got %r" % (bounds,))
     if level < 0:
         raise LevelMismatch("enumeration needs level >= 0, got %d" % level)
     if level > MAX_NESTING:
@@ -89,7 +88,8 @@ def _enumerate(level, max_factors, max_arity, min_arity=1):
     if level == 1:
         return tuple(corolla(a, allow_zero=True)
                      for a in range(min_arity, max_arity + 1))
-    pool = _enumerate(level - 1, max_factors, max_arity, min_arity)
+    for below in range(1, level):
+        pool = _enumerate(below, max_factors, max_arity, min_arity)
     sequences = islice(_graft_sequences(pool, max_factors), MAX_ELEMENTS + 1)
     found = tuple(_trusted(level, tuple(factors), tuple(indices), total)
                   for factors, indices, total in sequences)

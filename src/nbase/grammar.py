@@ -146,10 +146,12 @@ def format_element(x):
         return "*"
     if x.level == 1:
         return str(x.arity)
-    inner = ",".join(format_element(f) for f in x.factors)
-    if x.indices:
-        return "[%s|%s]" % (inner, ",".join(str(i) for i in x.indices))
-    return "[%s|]" % inner
+    return _literal(map(format_element, x.factors), x.indices)
+
+
+def _literal(factor_literals, indices):
+    """Concatenated: %-formatted enumerate_elements sort keys took 0.1 MB more RSS."""
+    return "[" + ",".join(factor_literals) + "|" + ",".join(map(str, indices)) + "]"
 
 
 def element_to_json(x):

@@ -443,4 +443,4 @@ def image_sweep(n, max_factors, max_arity):
     """Set of evaluation values over the bounded enumeration."""
     from .enumeration import _enumerate
 
-    return set(map(eval_phin, _enumerate(n, max_factors, max_arity)))
+    return set(map(eval_phin, _enumerate(n, max_factors, max_arity, 1)))

@@ -90,10 +90,10 @@ class CosetTable(NamedTuple):
     `rows` holds the live cosets renumbered 0..live-1 in definition order:
     column 2(g-1) is generator g, column 2(g-1)+1 its inverse; for an
     involution both hold the same coset.  An enumeration that does not
-    close raises `Overflow`, so `complete` is always True and
-    `order == live`.  `defined` counts every coset ever defined (coset 0
-    included), `merged` those identified with an earlier one by
-    coincidence, so live = defined - merged.
+    close raises `Overflow`, so `complete` is always True.  `defined` counts
+    every coset ever defined (coset 0 included), `merged` those identified
+    with an earlier one by coincidence; live = defined - merged, and order
+    == live, but for `_chain_counts`, whose counts sum its steps' (order n!).
     """
     generators: int
     rows: list

@@ -22,7 +22,7 @@ from .elements import (
     shuffle,
     total_G,
 )
-from .enumeration import catalan, count_binary, enumerate_elements
+from .enumeration import _enumerate, catalan, count_binary, enumerate_elements
 from .errors import UnknownStrategy
 from .grammar import format_element
 from .morphisms import complete_square, enumerate_morphisms
@@ -62,11 +62,10 @@ _SIZES = {
 }
 
 
-def _composable_pairs_level2(max_nodes, max_arity=4):
-    """Every (x, i, y) at level 2 within the node bound."""
-    by_nodes = {}
-    for k in range(1, max_nodes):
-        by_nodes[k] = [e for e in enumerate_elements(2, k, max_arity) if e.m == k]
+def _composable_pairs_level2(max_nodes):
+    """Every (x, i, y) at level 2 within the node bound, arities up to 4."""
+    pool = _enumerate(2, max_nodes - 1, 4, 1)
+    by_nodes = {k: [e for e in pool if e.m == k] for k in range(1, max_nodes)}
     for kx in range(1, max_nodes):
         for x in by_nodes[kx]:
             for i in range(1, x.m + 1):
@@ -279,10 +278,8 @@ def suite_groups(seed, size):
                   lambda: "sym %d -> %s" % (n, ct.order))
         rep.check(ct.complete and _relators_hold(pres, ct.rows),
                   lambda: "sym %d: a relator fails at some coset" % n)
-    for k in range(1, top):
-        shapes = [e for e in enumerate_elements(2, k, 2)
-                  if e.m == k and all(f.arity == 2 for f in e.factors)]
-        for x in shapes:
+    for x in _enumerate(2, top - 1, 2, 1):
+        if all(f.arity == 2 for f in x.factors):
             r = verify_symmetric_realization(x)
             rep.check(r.isomorphic, lambda: "tree %s" % format_element(x))
     return rep

@@ -169,14 +169,10 @@ def check_runital_bijection(level, max_factors=3, max_arity=3):
     zero-free normal form reachable by normalizing a plugged element.
     Normalizing only deletes nodes and prongs, so it stays in the bounds.
     """
-    if level == 1:
-        plain = {corolla(a) for a in range(1, max_arity + 1)}
-        plugged = [corolla(a, allow_zero=True) for a in range(max_arity + 1)]
-    elif level == 2:
-        plain = set(_enumerate(2, max_factors, max_arity))
-        plugged = _enumerate(2, max_factors, max_arity, 0)
-    else:
+    if level not in (1, 2):
         raise NotImplementedLevel("bijection check is defined for level <= 2")
+    plain = set(_enumerate(level, max_factors, max_arity, 1))
+    plugged = _enumerate(level, max_factors, max_arity, 0)
     extended = set()
     for e in plugged:
         r = r_normalize(RElement(plain=e))
