@@ -201,15 +201,13 @@ def _group_verify(args):
 
 
 def _enum(args):
-    from .enumeration import count_binary, enumerate_elements
+    from .enumeration import _enumerate, count_binary, enumerate_elements
     if args.binary is not None:
         print(count_binary(args.binary))
-        return
-    elems = enumerate_elements(args.level, args.max_factors, args.max_arity)
-    if args.count_only:
-        print(len(elems))
+    elif args.count_only:  # the pool enumerate_elements sorts, unsorted
+        print(len(_enumerate(args.level, args.max_factors, args.max_arity, 1)))
     else:
-        for e in elems:
+        for e in enumerate_elements(args.level, args.max_factors, args.max_arity):
             print(format_element(e))
 
 

@@ -186,6 +186,8 @@ def corolla(arity, allow_zero=False):
 
 def make(level, factors, indices):
     """Canonical level-n element (n >= 2); validates all invariants."""
+    if level.__class__ is not int or level < 2:  # levels 0 and 1 take no factors
+        raise LevelMismatch("element level must be an int >= 2, got %r" % (level,))
     return PlainElement(level, factors=factors, indices=indices)
 
 
@@ -194,7 +196,8 @@ class ShuffleMap(NamedTuple):
 
     phi maps the surviving x-factor positions {1..m_x} minus {i}, psi maps
     y-factor positions {1..m_y}; both are strictly increasing and their
-    images partition {1..m_x+m_y-1}.
+    images partition {1..m_x+m_y-1}.  Compositions of one shape share one
+    map, so phi and psi (and GraftResult's slot maps) are read-only.
     """
     i: int
     m_x: int
@@ -348,11 +351,8 @@ def _compose(x, i, y):
         raise RangeViolation("slot %d outside 1..%d" % (i, x.m))
     n = x.level
     if n == 1:
-        result = corolla(x.arity + y.arity - 1, allow_zero=True)
-        phi = {j: (j if j < i else j + y.arity - 1)
-               for j in range(1, x.arity + 1) if j != i}
-        psi = {k: k + i - 1 for k in range(1, y.arity + 1)}
-        return result, ShuffleMap(i, x.arity, y.arity, phi, psi)
+        return (corolla(x.arity + y.arity - 1, allow_zero=True),
+                _shuffle(i, y.arity, tuple(range(1, x.arity + y.arity))))
 
     if total_G(y) != slots_F(x)[i - 1]:
         raise NotComposable(
@@ -360,11 +360,25 @@ def _compose(x, i, y):
             % (total_G(y), i, slots_F(x)[i - 1]))
 
     canonical, perm = _sort_sequence(n, *_splice(x, i, y), total=x._total)
-    # raw order: x_1..x_{i-1}, y_1..y_l, x_{i+1}..x_k
-    phi = {j: perm[j - 1] if j < i else perm[y.m + j - 2]
-           for j in range(1, x.m + 1) if j != i}
-    psi = {k: perm[i + k - 2] for k in range(1, y.m + 1)}
-    return canonical, ShuffleMap(i, x.m, y.m, phi, psi)
+    return canonical, _shuffle(i, y.m, perm)
+
+
+# one ShuffleMap per shape (i, m_y, perm), shared by the memo entries of it
+_shuffles: dict = {}
+
+
+def _shuffle(i, m_y, perm):
+    """The ShuffleMap of slot i, m_y y-factors and perm, the canonical position
+    of each factor of the raw order x_1..x_{i-1}, y_1..y_l, x_{i+1}..x_k."""
+    key = (i, m_y, perm)
+    found = _shuffles.get(key)
+    if found is None:
+        m_x = len(perm) - m_y + 1
+        phi = {j: perm[j - 1] if j < i else perm[m_y + j - 2]
+               for j in range(1, m_x + 1) if j != i}
+        psi = {k: perm[i + k - 2] for k in range(1, m_y + 1)}
+        found = _shuffles.setdefault(key, ShuffleMap(i, m_x, m_y, phi, psi))
+    return found
 
 
 def _splice(x, i, y):
