@@ -24,12 +24,13 @@ on the element, as tuples, from its second read on.
 ``_hang`` hangs the trees of several elements at slots of one head and
 walks once: ``HeadForm.recompose`` and each level of ordinal encoding.
 
-Elements are hash-consed: every construction looks the value up in one
-intern table, so each distinct value is built once per process and two
-equal elements are the same object (``==`` and the hash are identity).  A
-value, once built, lives for the process, as compose results do.  A new
-value is validated, except internal outputs (of compose, graft, normalize,
-embed and walk): those are trusted, and re-validated under ``NBASE_CHECK=1``.
+Elements are hash-consed: each distinct value is built once per process and
+two equal elements are the same object (``==`` and the hash are identity).
+A value enters the intern table by one of three doors.  ``corolla`` (level
+1) and ``make`` (level >= 2, the level checked before the lookup) validate
+a new value; ``_trusted`` stores internal outputs (of compose, graft,
+normalize, embed and walk) unvalidated, re-validated under ``NBASE_CHECK=1``.
+A value, once built, lives for the process, as compose results do.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     UnknownStrategy,
 )
 
-# the checking constructor raises SizeBound for a level-1 arity above this
+# corolla raises SizeBound for a level-1 arity above this
 MAX_ARITY = 100_000
 _CHECK = os.environ.get("NBASE_CHECK") == "1"
 
@@ -59,10 +60,10 @@ _CHECK = os.environ.get("NBASE_CHECK") == "1"
 class PlainElement:
     """Immutable level-tagged shape, interned.
 
-    ``__new__`` returns a value already in the intern table as it is, and
-    validates a new value fully before storing it (``_trusted`` stores
-    internal outputs unvalidated).  Equal values are one object for the
-    life of the process: equality and hash are identity, computed in C.
+    ``__new__`` only dispatches: level 0 is ``POINT``, level 1 goes to
+    ``corolla`` and every other level to ``make``.  Those two and
+    ``_trusted`` are the doors of the intern table.  Equal values are one
+    object for the life of the process: equality and hash are identity.
     ``m`` counts entries: factors, the arity at level 1, 1 for the point.
     """
 
@@ -70,35 +71,15 @@ class PlainElement:
 
     def __new__(cls, level, arity=None, factors=None, indices=None,
                 allow_zero=False):
-        if level == 0 or level == 1:
-            if level == 1 and (type(arity) is not int
-                               or arity < (0 if allow_zero else 1)):
-                raise RangeViolation("level-1 arity must be a positive integer, got %r" % (arity,))
-            if level == 1 and arity > MAX_ARITY:
-                raise SizeBound("level-1 arity is bounded by %d, got %d" % (MAX_ARITY, arity))
-            key = (1, arity) if level else (0,)
-            self = _interned.get(key)
-            if self is None:
-                self = _interned.setdefault(key, _new(
-                    cls, key[0], arity if level else None, None, None,
-                    POINT if level else None))
-            return self
-        factors = tuple(factors)
-        indices = _ints(indices)
-        key = (level, factors, indices)
-        try:
-            self = _interned.get(key)
-        except TypeError:  # an unhashable factor, which validation reports
-            self = None
-        if self is None:
-            self = _interned.setdefault(key, _new(
-                cls, level, None, factors, indices,
-                _validate(level, factors, indices)))
-        return self
+        if level == 0:
+            return POINT
+        if level == 1:
+            return corolla(arity, allow_zero)
+        return make(level, factors, indices)
 
     def __init__(self, level, arity=None, factors=None, indices=None,
                  allow_zero=False):
-        """Nothing to set (``__new__`` built it); kept for tracers to wrap."""
+        """Nothing to set (a door built it); kept for tracers to wrap."""
 
     def __repr__(self):
         from .grammar import format_element
@@ -115,9 +96,9 @@ def _ints(indices):
 
 
 def _validate(level, factors, indices):
-    """Check every invariant of a level >= 2 element; returns its total."""
-    if level.__class__ is not int or level < 2:
-        raise LevelMismatch("element level must be an int >= 2, got %r" % (level,))
+    """Check the invariants of a level >= 2 element; returns its total.
+
+    ``make`` checked the level before its lookup; ``_trusted`` calls this in check mode."""
     if not factors:
         raise RangeViolation("level-%d element needs at least one factor" % level)
     if len(indices) != len(factors) - 1:
@@ -135,8 +116,8 @@ def _validate(level, factors, indices):
     return _check_sequence(factors, indices)
 
 
-def _new(cls, level, arity, factors, indices, total):
-    self = object.__new__(cls)
+def _new(level, arity, factors, indices, total):
+    self = object.__new__(PlainElement)
     self.level = level
     self.arity = arity
     self.factors = factors
@@ -159,8 +140,7 @@ def _trusted(level, factors, indices, total):
                 found = exc
             if found is not total:
                 raise TrustViolation("trusted %r, total %r, validates to %r" % (key, total, found))
-        self = _interned.setdefault(key, _new(
-            PlainElement, level, None, factors, indices, total))
+        self = _interned.setdefault(key, _new(level, None, factors, indices, total))
     return self
 
 
@@ -170,25 +150,40 @@ def _trusted(level, factors, indices, total):
 _interned: dict = {}
 _rows: dict = {}  # the one tuple of each row value in kept child lists
 
-POINT = PlainElement(0)
+POINT = _interned.setdefault((0,), _new(0, None, None, None, None))
 
 
 def corolla(arity, allow_zero=False):
     """The level-1 element with the given number of prongs."""
     # a stored corolla of positive int arity is valid; arity 0, bools,
-    # floats and arities not seen yet go through the checking constructor
+    # floats and arities not seen yet are checked before the insert
     if arity.__class__ is int and arity > 0:
         found = _interned.get((1, arity))
         if found is not None:
             return found
-    return PlainElement(1, arity=arity, allow_zero=allow_zero)
+    if arity.__class__ is not int or arity < (0 if allow_zero else 1):
+        raise RangeViolation("level-1 arity must be a positive integer, got %r" % (arity,))
+    if arity > MAX_ARITY:
+        raise SizeBound("level-1 arity is bounded by %d, got %d" % (MAX_ARITY, arity))
+    return _interned.setdefault((1, arity), _new(1, arity, None, None, POINT))
 
 
 def make(level, factors, indices):
-    """Canonical level-n element (n >= 2); validates all invariants."""
-    if level.__class__ is not int or level < 2:  # levels 0 and 1 take no factors
+    """Canonical level-n element (n >= 2); validates a new one."""
+    # before the lookup, where 2.0 == 2 would match a level-2 key
+    if level.__class__ is not int or level < 2:
         raise LevelMismatch("element level must be an int >= 2, got %r" % (level,))
-    return PlainElement(level, factors=factors, indices=indices)
+    factors = tuple(factors)
+    indices = _ints(indices)
+    key = (level, factors, indices)
+    try:
+        self = _interned.get(key)
+    except TypeError:  # an unhashable factor, which validation reports
+        self = None
+    if self is None:
+        self = _interned.setdefault(key, _new(
+            level, None, factors, indices, _validate(level, factors, indices)))
+    return self
 
 
 class ShuffleMap(NamedTuple):
