@@ -173,7 +173,10 @@ def make(level, factors, indices):
     # before the lookup, where 2.0 == 2 would match a level-2 key
     if level.__class__ is not int or level < 2:
         raise LevelMismatch("element level must be an int >= 2, got %r" % (level,))
-    factors = tuple(factors)
+    try:
+        factors = tuple(factors)
+    except TypeError:
+        raise RangeViolation("factors must be iterable, got %r" % (factors,)) from None
     indices = _ints(indices)
     key = (level, factors, indices)
     try:

@@ -64,17 +64,25 @@ def run_python(code, *flags, env=None):
 # one value of each trusted kind, none of them built anywhere else: a
 # level-2 compose, a level-2 graft (splice), a level-3 graft whose sort
 # builds partials, an embedding, and a normalize with an inversion at
-# levels 2 and 3
-def trusted_outputs():
-    u3 = pe("[[411,2|1],[2|]|2]")
-    raw3 = GammaSequence(3, (pe("[425,2|1]"), pe("[2,1|1]"), pe("[424,2|1]")), (2, 1))
+# levels 2 and 3.  The inputs are built here, before a caller counts
+# validations; the arities (411-431) are moved by ``shift``, so a test that
+# interns the outputs leaves another test's outputs new.
+def trusted_outputs(shift=0):
+    def lit(text, *arities):
+        return pe(text % tuple(a + shift for a in arities))
+
+    y = pe("[2,1|1]")
+    x2, g2 = lit("[%d,2,2|1,2]", 413), lit("[%d,2|3]", 419)
+    u3, v3 = lit("[[%d,2|1],[2|]|2]", 411), lit("[[%d|]|]", 411)
+    e1 = corolla(421 + shift)
+    raw2 = GammaSequence(2, (corolla(417 + shift), corolla(2), corolla(3)), (5, 1))
+    raw3 = GammaSequence(3, (lit("[%d,2|1]", 425), y, lit("[%d,2|1]", 424)), (2, 1))
     return [
-        lambda: compose(pe("[413,2,2|1,2]"), 2, pe("[2,1|1]"))[0],
-        lambda: graft_at_slot(pe("[419,2|3]"), 2, pe("[2,1|1]")).element,
-        lambda: graft_at_slot(u3, 1, pe("[[411|]|]")).element,
-        lambda: embed(corolla(421)),
-        lambda: normalize(GammaSequence(2, (corolla(417), corolla(2), corolla(3)),
-                                        (5, 1)))[0],
+        lambda: compose(x2, 2, y)[0],
+        lambda: graft_at_slot(g2, 2, y).element,
+        lambda: graft_at_slot(u3, 1, v3).element,
+        lambda: embed(e1),
+        lambda: normalize(raw2)[0],
         lambda: normalize(raw3)[0],
     ]
 
@@ -676,7 +684,7 @@ class TestInterning:
         assert g is pe("[433,2,2|1,6]")
 
     def test_trusted_outputs_are_not_validated_outside_check_mode(self, monkeypatch):
-        outputs = trusted_outputs()
+        outputs = trusted_outputs(shift=5000)
         calls = []
         validate = elements._validate
 

@@ -1,8 +1,8 @@
 """`make` builds level >= 2 elements only.
 
-`PlainElement` sends levels 0 and 1 to the point and corolla branch
-before it looks at factors, so `make` refuses those levels itself, with
-the message `_validate` gives every other level below 2.
+`PlainElement` sends levels 0 and 1 to the point and `corolla` before it
+looks at factors, so `make` refuses those levels, with the message it
+gives every other level below 2, before it looks the key up.
 """
 
 import pytest

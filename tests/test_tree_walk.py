@@ -78,17 +78,21 @@ def test_decompose_head_is_linear_in_the_element():
 
 # one value of each walk-built kind, none of them built anywhere else: a
 # from_tree, a one-morphism target, level-2 and level-3 attachments of
-# decompose_head, and a level-3 walk from a node below the head; the check
-# mode test runs first, as a value that is interned already is not checked
-def walk_outputs():
-    leaves = [-n for n in range(2, 454)]
-    flip = pe("[455,2|1]")
-    head2 = pe("[2,457,2|1,1]")
-    head3 = pe("[[2,463|1],[462,2|1],[2,1|1]|2,3]")
-    deep3 = pe("[[2,471|1],[470,2|1],[469,2|1],[2,1|1]|2,2,3]")
+# decompose_head, and a level-3 walk from a node below the head.  A value
+# that is interned already is not checked, so the arities (453-471) are
+# moved by ``shift``: a test that interns the outputs leaves another's new.
+def walk_outputs(shift=0):
+    def lit(text, *arities):
+        return pe(text % tuple(a + shift for a in arities))
+
+    leaves = [-n for n in range(2, 454 + shift)]
+    flip = lit("[%d,2|1]", 455)
+    head2 = lit("[2,%d,2|1,1]", 457)
+    head3 = lit("[[2,%d|1],[%d,2|1],[2,1|1]|2,3]", 463, 462)
+    deep3 = lit("[[2,%d|1],[%d,2|1],[%d,2|1],[2,1|1]|2,2,3]", 471, 470, 469)
     return [
-        lambda: from_tree([[2] + leaves, [-1, -454]]),
-        lambda: apply_one(flip, [tuple(range(455, 0, -1)), (1, 2)]).target,
+        lambda: from_tree([[2] + leaves, [-1, -454 - shift]]),
+        lambda: apply_one(flip, [tuple(range(455 + shift, 0, -1)), (1, 2)]).target,
         lambda: decompose_head(head2).attachments[0].element,
         lambda: decompose_head(head3).attachments[0].element,
         lambda: walk(deep3.factors, to_tree(deep3), 3)[0],
@@ -108,7 +112,7 @@ def test_check_mode_refuses_a_wrong_walk_total(monkeypatch):
 
 
 def test_walk_outputs_are_not_validated_outside_check_mode(monkeypatch):
-    outputs = walk_outputs()
+    outputs = walk_outputs(shift=5000)
     calls = []
     validate = elements._validate
 
