@@ -4,7 +4,7 @@
 every other level to ``make``, which checks the level before it looks the
 key up: a key compares levels with ==, under which 2.0 == 2, so a later
 check would refuse a float level only while the value is not yet built.
-Arities 9906-9910 are built by no other test.
+Corollas of arity 9906 and 9908 are built by no other test.
 """
 
 import os
