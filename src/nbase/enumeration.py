@@ -15,18 +15,20 @@ from math import comb, factorial, prod
 
 from .elements import POINT, _execute, _trusted, corolla, slots_F, total_G
 from .errors import LevelMismatch, RangeViolation, SizeBound
-from .grammar import MAX_NESTING, _literal, format_element
+from .grammar import MAX_NESTING, _literal_key, format_element
 
 
 def enumerate_elements(level, max_factors, max_arity):
-    """All elements of the level within the bounds, sorted by literal."""
+    """All elements of the level within the bounds, sorted by literal.
+
+    The key is ``format_element``'s literal, put together from two halves,
+    the joined factor literals and the joined indices, each written once per
+    distinct tuple for the length of the call (``grammar._literal_key``).
+    The (2, 5, 3) pool, 14,664 elements, builds in about 35-45 ms in a
+    fresh process with check mode off, a quarter of it in the sort.
+    """
     found = _enumerate(level, max_factors, max_arity, 1)
-    if level < 2:
-        return sorted(found, key=format_element)
-    # the key is format_element's literal, from each factor's literal once
-    literal = {f: format_element(f)
-               for f in _enumerate(level - 1, max_factors, max_arity, 1)}.__getitem__
-    return sorted(found, key=lambda x: _literal(map(literal, x.factors), x.indices))
+    return sorted(found, key=_literal_key() if level >= 2 else format_element)
 
 
 # _graft_sequences raises SizeBound once the sequences it yielded have more
@@ -42,7 +44,7 @@ def _graft_sequences(pool, max_factors):
     by_total = {}  # total -> the pool members with that total, in pool order
     for g in pool:
         by_total.setdefault(total_G(g), []).append(g)
-    stack = ([([head], [], head) for head in reversed(pool)]
+    stack = ([((head,), (), head) for head in reversed(pool)]
              if max_factors >= 1 else [])
     factor_sum = 0
     while stack:
@@ -55,9 +57,10 @@ def _graft_sequences(pool, max_factors):
         if len(factors) >= max_factors:
             continue
         children = []
+        slots = slots_F(partial)
         for idx in range(indices[-1] if indices else 1, partial.m + 1):
-            for g in by_total.get(slots_F(partial)[idx - 1], ()):
-                children.append((factors + [g], indices + [idx],
+            for g in by_total.get(slots[idx - 1], ()):
+                children.append((factors + (g,), indices + (idx,),
                                  _execute(partial, idx, g)))
         stack.extend(reversed(children))
 
@@ -91,7 +94,7 @@ def _enumerate(level, max_factors, max_arity, min_arity, /):
     for below in range(1, level):
         pool = _enumerate(below, max_factors, max_arity, min_arity)
     sequences = islice(_graft_sequences(pool, max_factors), MAX_ELEMENTS + 1)
-    found = tuple(_trusted(level, tuple(factors), tuple(indices), total)
+    found = tuple(_trusted(level, factors, indices, total)
                   for factors, indices, total in sequences)
     if len(found) > MAX_ELEMENTS:
         raise SizeBound("enumeration is bounded by %d elements per level"

@@ -146,12 +146,42 @@ def format_element(x):
         return "*"
     if x.level == 1:
         return str(x.arity)
-    return _literal(map(format_element, x.factors), x.indices)
+    return _head(map(format_element, x.factors)) + _tail(x.indices)
 
 
-def _literal(factor_literals, indices):
-    """Concatenated: %-formatted enumerate_elements sort keys took 0.1 MB more RSS."""
-    return "[" + ",".join(factor_literals) + "|" + ",".join(map(str, indices)) + "]"
+# _head and _tail are the one writer of a literal, in the two halves that
+# _literal_key keeps apart
+def _head(factor_literals):
+    return "[" + ",".join(factor_literals) + "|"
+
+
+def _tail(indices):
+    return ",".join(map(str, indices)) + "]"
+
+
+class _Written(dict):
+    """Each key's value, written by ``write`` on its first read."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write):
+        self.write = write
+
+    def __missing__(self, key):
+        self[key] = value = self.write(key)
+        return value
+
+
+def _literal_key():
+    """A fresh sort key: format_element of a level >= 2 element, from its
+    two halves, each written once per distinct factor or index tuple (and
+    each factor's literal once) for the life of the key.  The elements of
+    a pool share few tuples: (2, 5, 3) has 14,664 elements, 363 factor
+    tuples and 344 index tuples."""
+    literals = _Written(format_element)
+    heads = _Written(lambda factors: _head(map(literals.__getitem__, factors)))
+    tails = _Written(_tail)
+    return lambda x: heads[x.factors] + tails[x.indices]
 
 
 def element_to_json(x):
