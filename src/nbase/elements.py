@@ -189,13 +189,30 @@ def make(level, factors, indices):
     return self
 
 
+class _ReadOnly(dict):
+    """A dict whose write methods raise TypeError: the maps of one shape
+    are shared.  It pickles and deep-copies as an equal read-only map."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("shuffle maps are shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _ReadOnly, (dict(self),)
+
+
 class ShuffleMap(NamedTuple):
     """Position maps of a composition at slot i.
 
     phi maps the surviving x-factor positions {1..m_x} minus {i}, psi maps
     y-factor positions {1..m_y}; both are strictly increasing and their
     images partition {1..m_x+m_y-1}.  Compositions of one shape share one
-    map, so phi and psi (and GraftResult's slot maps) are read-only.
+    map, so compose's phi and psi (and GraftResult's slot maps) refuse
+    writes with TypeError.
     """
     i: int
     m_x: int
@@ -234,8 +251,11 @@ class GammaSequence(NamedTuple):
 
     def validate(self):
         """The sequence, its indices made ints, if each graft is valid."""
-        if self.level < 2:
-            raise LevelMismatch("raw sequences live at level >= 2")
+        # an int, as make checks: 2.0 would pass a comparison, and the walk
+        # of an unsorted sequence takes the level from its factors
+        if self.level.__class__ is not int or self.level < 2:
+            raise LevelMismatch("raw sequences live at an int level >= 2, got %r"
+                                % (self.level,))
         if not self.factors:
             raise InvalidSequence("a raw sequence needs at least one factor")
         if len(self.indices) != len(self.factors) - 1:
@@ -372,9 +392,9 @@ def _shuffle(i, m_y, perm):
     found = _shuffles.get(key)
     if found is None:
         m_x = len(perm) - m_y + 1
-        phi = {j: perm[j - 1] if j < i else perm[m_y + j - 2]
-               for j in range(1, m_x + 1) if j != i}
-        psi = {k: perm[i + k - 2] for k in range(1, m_y + 1)}
+        phi = _ReadOnly({j: perm[j - 1] if j < i else perm[m_y + j - 2]
+                         for j in range(1, m_x + 1) if j != i})
+        psi = _ReadOnly({k: perm[i + k - 2] for k in range(1, m_y + 1)})
         found = _shuffles.setdefault(key, ShuffleMap(i, m_x, m_y, phi, psi))
     return found
 

@@ -102,14 +102,34 @@ def _enumerate(level, max_factors, max_arity, min_arity, /):
     return found
 
 
-# count_binary sums a k x k table; above this k it raises SizeBound
+# count_binary sums a k x k table, and free_ea2_component_count takes n!;
+# above this k or n they raise SizeBound
 MAX_BINARY_FACTORS = 2000
+# the counting formulas raise SizeBound when a term could have more bits than
+# this, judged from the arguments before any arithmetic: big-int work grows
+# with the bits, and the division of the geometric sum with their square
+MAX_COUNT_BITS = 1 << 16
+
+
+def _count_arg(what, name, value, least=0):
+    """Refuse a count argument that is not an int of at least ``least``
+    (bools too, as the enumeration bounds do)."""
+    if value.__class__ is not int or value < least:
+        raise RangeViolation("%s needs an int %s >= %d, got %r"
+                             % (what, name, least, value))
+
+
+def _count_bits(what, factors, largest):
+    """Refuse a term of up to ``factors`` factors, each at most ``largest``,
+    that could have more than MAX_COUNT_BITS bits."""
+    if factors * largest.bit_length() > MAX_COUNT_BITS:
+        raise SizeBound("%s is bounded by terms of %d bits, got up to %d factors of %d bits"
+                        % (what, MAX_COUNT_BITS, factors, largest.bit_length()))
 
 
 def count_binary(k):
     """Number of level-2 elements with k factors, all of arity 2."""
-    if k < 1:
-        raise RangeViolation("binary count needs k >= 1, got %d" % k)
+    _count_arg("binary count", "k", k, 1)
     if k > MAX_BINARY_FACTORS:
         raise SizeBound("binary count is bounded by k <= %d, got %d"
                         % (MAX_BINARY_FACTORS, k))
@@ -132,13 +152,20 @@ def free_plain_algebra_count(level, sizes, y, bound):
 
     sizes maps level-(n-1) elements to finite cardinalities; the count is the
     sum over all z with total y and at most `bound` factors of the product of
-    the sizes of z's entries.
+    the sizes of z's entries.  Sizes and the bound are ints >= 0, and a term
+    of more than MAX_COUNT_BITS bits raises SizeBound; above level 1 the
+    walk is bounded as the enumeration's is (MAX_FACTOR_SUM).
     """
+    for size in sizes.values():
+        _count_arg("free-algebra count", "size", size)
+    _count_arg("free-algebra count", "bound", bound)
+    _count_bits("free-algebra count", bound, max(sizes.values(), default=0))
     if level == 1:
         if y != POINT:
             raise LevelMismatch("level-1 totals are the point")
         c = sizes.get(POINT, 0)
-        return sum(c ** m for m in range(1, bound + 1))
+        # c + c**2 + ... + c**bound
+        return bound if c == 1 else (c ** (bound + 1) - c) // (c - 1)
     support = [f for f, s in sizes.items() if s > 0]
     return sum(prod(sizes[f] for f in factors)
                for factors, _, partial in _graft_sequences(support, bound)
@@ -151,9 +178,15 @@ def free_ea2_component_count(s_size, n):
     Returns (binary-shape count, n!, multiset factor, product): the shapes
     are counted by a Catalan number, the permutation factor is n!, and the
     multiset factor counts orbits of n-1 labels from s_size symbols.
+    s_size is an int >= 0 and n an int from 2 to MAX_BINARY_FACTORS; a
+    multiset factor of more than MAX_COUNT_BITS bits raises SizeBound.
     """
-    if n < 2:
-        raise RangeViolation("component count needs n >= 2, got %d" % n)
+    _count_arg("component count", "size", s_size)
+    _count_arg("component count", "n", n, 2)
+    if n > MAX_BINARY_FACTORS:
+        raise SizeBound("component count is bounded by n <= %d, got %d"
+                        % (MAX_BINARY_FACTORS, n))
+    _count_bits("component count", n - 1, s_size + n - 2)
     shapes = catalan(n - 1)
     perms = factorial(n)
     multisets = comb(s_size + n - 2, n - 1)

@@ -17,7 +17,9 @@ from nbase.elements import (
     embed,
     graft_at_slot,
     make,
+    normalize,
 )
+from nbase.enumeration import count_binary, free_ea2_component_count, free_plain_algebra_count
 from nbase.errors import (
     DegreeMismatch,
     LevelMismatch,
@@ -126,7 +128,37 @@ REFUSALS = [
      lambda: r_normalize(LEVEL3)),
     ("bijection check at level 3", NotImplementedLevel, "level <= 2",
      lambda: check_runital_bijection(3)),
+    # counting formulas
+    ("binary count of k 2.0", RangeViolation, "int k >= 1, got 2.0",
+     lambda: count_binary(2.0)),
+    ("component count of size -5", RangeViolation, "int size >= 0, got -5",
+     lambda: free_ea2_component_count(-5, 3)),
+    ("component count of n 3.0", RangeViolation, "int n >= 2, got 3.0",
+     lambda: free_ea2_component_count(2, 3.0)),
+    ("component count of n True", RangeViolation, "int n >= 2, got True",
+     lambda: free_ea2_component_count(2, True)),
+    ("component count of n 3 * 10**5", SizeBound, "n <= 2000, got 300000",
+     lambda: free_ea2_component_count(2, 3 * 10 ** 5)),
+    ("component count of a 33-bit multiset", SizeBound, "terms of 65536 bits",
+     lambda: free_ea2_component_count(2 ** 32 - 1998, 2000)),
+    ("free-algebra count of bound -1", RangeViolation, "int bound >= 0, got -1",
+     lambda: free_plain_algebra_count(1, {POINT: 3}, POINT, -1)),
+    ("free-algebra count of bound True", RangeViolation, "int bound >= 0, got True",
+     lambda: free_plain_algebra_count(1, {POINT: 3}, POINT, True)),
+    ("free-algebra count of size 3.0", RangeViolation, "int size >= 0, got 3.0",
+     lambda: free_plain_algebra_count(2, {corolla(2): 3.0}, corolla(3), 2)),
+    ("free-algebra count of bound 10**5", SizeBound, "terms of 65536 bits",
+     lambda: free_plain_algebra_count(1, {POINT: 3}, POINT, 10 ** 5)),
 ]
+
+# a raw level that is not an int is refused in either index order: the
+# canonical order of the unsorted sequence is [9955,3,2|1,7]
+RAW_ORDERS = {"unsorted": ((corolla(9955), corolla(2), corolla(3)), (5, 1)),
+              "canonical": ((corolla(9955), corolla(3), corolla(2)), (1, 7))}
+REFUSALS += [("raw sequence of level %r, %s" % (level, order), LevelMismatch,
+              "int level >= 2, got %r" % (level,),
+              lambda level=level, seq=seq: normalize(GammaSequence(level, *seq)))
+             for level in (2.0, None, "2") for order, seq in RAW_ORDERS.items()]
 
 
 def outcomes():

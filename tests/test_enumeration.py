@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -122,6 +123,35 @@ class TestComponentCounts:
         assert shapes == catalan(3)
         assert perms == 24
         assert product == shapes * perms * multi
+
+
+def test_the_largest_admitted_counts_return_in_under_a_second():
+    from nbase.enumeration import MAX_COUNT_BITS
+
+    n, bits = MAX_BINARY_FACTORS, MAX_COUNT_BITS
+    # the multiset factor's top, s_size + n - 2, has bits // (n - 1) bits
+    s_size = 2 ** (bits // (n - 1)) - n + 1
+    largest = [
+        lambda: count_binary(n),
+        lambda: free_ea2_component_count(s_size, n),
+        lambda: free_plain_algebra_count(1, {POINT: 3}, POINT, bits // 2),
+        lambda: free_plain_algebra_count(1, {POINT: 2 ** bits - 1}, POINT, 1),
+    ]
+    one_more = [
+        lambda: count_binary(n + 1),
+        lambda: free_ea2_component_count(s_size + 1, n),
+        lambda: free_plain_algebra_count(1, {POINT: 3}, POINT, bits // 2 + 1),
+        lambda: free_plain_algebra_count(1, {POINT: 2 ** bits - 1}, POINT, 2),
+    ]
+    for call in largest:
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 1
+    for call in one_more:
+        with pytest.raises(SizeBound):
+            call()
+    assert free_plain_algebra_count(1, {POINT: 3}, POINT, bits // 2) == \
+        (3 ** (bits // 2 + 1) - 3) // 2
 
 
 @pytest.mark.parametrize("call", [

@@ -9,7 +9,9 @@ seeded sample of a larger one.  A memo entry then costs its key and its
 result pair, not two dicts of its own.
 """
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -18,8 +20,9 @@ import pytest
 
 import nbase
 from nbase import elements
-from nbase.elements import compose, corolla, make, slots_F, total_G
+from nbase.elements import compose, corolla, graft_at_slot, make, slots_F, total_G
 from nbase.enumeration import enumerate_elements
+from nbase.grammar import parse_element as pe
 
 
 def composable(bounds):
@@ -74,6 +77,45 @@ def test_one_shape_with_other_factors_shares_the_map():
     assert a[1] == (2, 2, 1, {1: 1}, {1: 2})
     # a level-1 composition keys the identity of length m_x + m_y - 1
     assert compose(corolla(3), 2, corolla(2))[1] is elements._shuffles[(2, 2, (1, 2, 3, 4))]
+
+
+WRITES = [
+    lambda m: m.__setitem__(2, 99),
+    lambda m: m.__delitem__(next(iter(m))),
+    lambda m: m.update({2: 99}),
+    lambda m: m.setdefault(99, 99),
+    lambda m: m.pop(next(iter(m))),
+    lambda m: m.popitem(),
+    lambda m: m.clear(),
+    lambda m: m.__ior__({2: 99}),
+]
+
+
+def test_a_shared_map_refuses_writes():
+    # [2,2|1] and [2,3|1] composed with [1,2|1] at 1 share one map
+    sh = compose(pe("[2,2|1]"), 1, pe("[1,2|1]"))[1]
+    with pytest.raises(TypeError):
+        sh.phi[2] = 99
+    for m in (sh.phi, sh.psi):
+        for write in WRITES:
+            with pytest.raises(TypeError):
+                write(m)
+    other = compose(pe("[2,3|1]"), 1, pe("[1,2|1]"))[1]
+    assert other is sh and other.phi == {2: 3} and other.psi == {1: 1, 2: 2}
+    g = graft_at_slot(pe("[2|]"), 1, pe("[2,1|1]"))
+    for m in (g.slot_phi, g.slot_psi):
+        for write in WRITES:
+            with pytest.raises(TypeError):
+                write(m)
+    assert (g.slot_phi, g.slot_psi) == ({2: 3}, {1: 1, 2: 2})
+
+
+def test_a_shared_map_pickles_and_deep_copies_to_an_equal_read_only_map():
+    sh = compose(pe("[2,2|1]"), 1, pe("[1,2|1]"))[1]
+    for again in (pickle.loads(pickle.dumps(sh)), copy.deepcopy(sh)):
+        assert again == sh and repr(again) == repr(sh)
+        with pytest.raises(TypeError):
+            again.phi[2] = 99
 
 
 # In a fresh process: 12,000 level-2 compositions, made once so that their
