@@ -175,9 +175,8 @@ class _Written(dict):
 def _literal_key():
     """A fresh sort key: format_element of a level >= 2 element, from its
     two halves, each written once per distinct factor or index tuple (and
-    each factor's literal once) for the life of the key.  The elements of
-    a pool share few tuples: (2, 5, 3) has 14,664 elements, 363 factor
-    tuples and 344 index tuples."""
+    each factor's literal once) for the life of the key.  A pool's elements
+    share few tuples: (2, 5, 3) has 14,664 elements and 363 factor tuples."""
     literals = _Written(format_element)
     heads = _Written(lambda factors: _head(map(literals.__getitem__, factors)))
     tails = _Written(_tail)
