@@ -108,7 +108,7 @@ MAX_BINARY_FACTORS = 2000
 # the counting formulas raise SizeBound when a term could have more bits than
 # this, judged from the arguments before any arithmetic: big-int work grows
 # with the bits, and the division of the geometric sum with their square
-MAX_COUNT_BITS = 1 << 16
+_MAX_COUNT_BITS = 1 << 16
 
 
 def _count_arg(what, name, value, least=0):
@@ -121,10 +121,10 @@ def _count_arg(what, name, value, least=0):
 
 def _count_bits(what, factors, largest):
     """Refuse a term of up to ``factors`` factors, each at most ``largest``,
-    that could have more than MAX_COUNT_BITS bits."""
-    if factors * largest.bit_length() > MAX_COUNT_BITS:
+    that could have more than _MAX_COUNT_BITS bits."""
+    if factors * largest.bit_length() > _MAX_COUNT_BITS:
         raise SizeBound("%s is bounded by terms of %d bits, got up to %d factors of %d bits"
-                        % (what, MAX_COUNT_BITS, factors, largest.bit_length()))
+                        % (what, _MAX_COUNT_BITS, factors, largest.bit_length()))
 
 
 def count_binary(k):
@@ -153,8 +153,8 @@ def free_plain_algebra_count(level, sizes, y, bound):
     sizes maps level-(n-1) elements to finite cardinalities; the count is the
     sum over all z with total y and at most `bound` factors of the product of
     the sizes of z's entries.  Sizes and the bound are ints >= 0, and a term
-    of more than MAX_COUNT_BITS bits raises SizeBound; above level 1 the
-    walk is bounded as the enumeration's is (MAX_FACTOR_SUM).
+    that could have more than 2**16 bits raises SizeBound; above level 1
+    the walk is bounded as the enumeration's is (MAX_FACTOR_SUM).
     """
     for size in sizes.values():
         _count_arg("free-algebra count", "size", size)
@@ -179,7 +179,7 @@ def free_ea2_component_count(s_size, n):
     are counted by a Catalan number, the permutation factor is n!, and the
     multiset factor counts orbits of n-1 labels from s_size symbols.
     s_size is an int >= 0 and n an int from 2 to MAX_BINARY_FACTORS; a
-    multiset factor of more than MAX_COUNT_BITS bits raises SizeBound.
+    multiset factor that could have more than 2**16 bits raises SizeBound.
     """
     _count_arg("component count", "size", s_size)
     _count_arg("component count", "n", n, 2)

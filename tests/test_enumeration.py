@@ -126,9 +126,9 @@ class TestComponentCounts:
 
 
 def test_the_largest_admitted_counts_return_in_under_a_second():
-    from nbase.enumeration import MAX_COUNT_BITS
+    from nbase.enumeration import _MAX_COUNT_BITS
 
-    n, bits = MAX_BINARY_FACTORS, MAX_COUNT_BITS
+    n, bits = MAX_BINARY_FACTORS, _MAX_COUNT_BITS
     # the multiset factor's top, s_size + n - 2, has bits // (n - 1) bits
     s_size = 2 ** (bits // (n - 1)) - n + 1
     largest = [

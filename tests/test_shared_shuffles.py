@@ -6,7 +6,8 @@ x_1..x_{i-1}, y_1..y_l, x_{i+1}..x_k, so memo entries of one shape share
 it.  The map is a function of the key: a map built from an empty table
 equals the shared one, for every composable pair of small pools and a
 seeded sample of a larger one.  A memo entry then costs its key and its
-result pair, not two dicts of its own.
+result pair, not two dicts of its own.  Because they are shared, the
+maps refuse writes, and pickle and deep-copy as equal read-only maps.
 """
 
 import copy
