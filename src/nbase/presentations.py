@@ -27,6 +27,9 @@ MAX_SYM_DEGREE = 64
 # a tree presentation has one generator per edge and quadratically many
 # relators: bounded as the symmetric one of as many generators is
 MAX_TREE_EDGES = MAX_SYM_DEGREE - 1
+# todd_coxeter transposes this many cosets' columns into rows at a time, so
+# that the table is never held twice
+_BLOCK = 1024
 
 
 def free_reduce(word):
@@ -112,9 +115,14 @@ def todd_coxeter(pres, max_cosets=100_000):
     defined once, and its square relators are not scanned.  Every other
     generator has a column and an inverse column.  `max_cosets` (an integer
     >= 1) caps the live cosets; a definition beyond it raises `Overflow`.
-    Rows of cosets lost to coincidences are dropped as soon as they are
-    processed, so memory follows the live count.  The table is returned
-    only once it closes, and then has no undefined entry (`_enumerate`).
+    The enumeration keeps one list per internal column, indexed by coset,
+    so a relator step is one subscript.  A coset lost to a coincidence has
+    its entries cleared as soon as it is processed but keeps its index, so
+    memory follows the cosets defined: 8 B per column, and 16 B for the
+    forest and the skip bits, about 64 B for S7's six columns (a row per
+    live coset took about 152 B).  The table is returned only once it
+    closes, and then has no undefined entry (`_enumerate`); its columns are
+    compacted in place and transposed into the public rows.
 
     A closed relator cycle is scanned once: when the scan from coset a
     closes, every later coset b on the cycle from which the relator reads
@@ -127,23 +135,30 @@ def todd_coxeter(pres, max_cosets=100_000):
     order (`verify_symmetric_realization`, `group order`) take
     `_coset_counts`, which builds no public rows.
     """
-    table, p, col, _, merged = _enumerate(pres, max_cosets)
-    # Compact: live rows keep their order and are renumbered, a new number k
-    # reusing the int of coset k when that coset is live (p[k] is then k),
-    # and remapped from a snapshot of themselves to the public width.
-    defined = len(table)
+    tab, p, col, _, merged = _enumerate(pres, max_cosets)
+    # Compact: live cosets keep their order and are renumbered, a new number
+    # k reusing the int of coset k when that coset is live (p[k] is then k).
+    # Each column moves its live entries down, renumbered, in place.  The
+    # columns are then transposed in public order, an involution's column
+    # filling both of its public columns (no generator: one empty row), a
+    # block at a time from the end, each block cut from the columns first.
+    defined = len(p)
+    live = [i for i in range(defined) if p[i] == i]
     new_id = [None] * defined
-    k = 0
-    for i in range(defined):
-        if table[i] is not None:
-            new_id[i] = p[k] if p[k] == k else k
-            table[k] = table[i]
-            k += 1
-    del table[k:], p
+    for k, i in enumerate(live):
+        new_id[i] = p[k] if p[k] == k else k
+    for cl in tab:
+        cl[:] = [new_id[cl[i]] for i in live]
+    k = len(live)
+    del p, new_id, live
     place = [col[s * l] for l in range(1, pres.generators + 1) for s in (1, -1)]
-    for row in table:
-        row[:] = [new_id[row[c]] for c in place]
-    return CosetTable(pres.generators, table, True, k, k, defined, merged)
+    rows = [None] * k
+    for start in reversed(range(0, k, _BLOCK)):
+        cut = [cl[start:] for cl in tab]
+        for cl in tab:
+            del cl[start:]
+        rows[start:start + _BLOCK] = map(list, zip(*[cut[c] for c in place])) if place else [[]]
+    return CosetTable(pres.generators, rows, True, k, k, defined, merged)
 
 
 def _coset_counts(pres, max_cosets=100_000, subgroup=()):
@@ -152,8 +167,8 @@ def _coset_counts(pres, max_cosets=100_000, subgroup=()):
     With `subgroup` words it counts the cosets of the subgroup they
     generate: the order is then that subgroup's index.
     """
-    table, _, _, live, merged = _enumerate(pres, max_cosets, subgroup)
-    return CosetTable(pres.generators, None, True, live, live, len(table), merged)
+    _, p, _, live, merged = _enumerate(pres, max_cosets, subgroup)
+    return CosetTable(pres.generators, None, True, live, live, len(p), merged)
 
 
 def _cap(max_cosets):
@@ -168,14 +183,17 @@ def _cap(max_cosets):
 
 
 def _enumerate(pres, max_cosets, subgroup=()):
-    """HLT: (table, coincidence forest, letter -> column, live, merged).
+    """HLT: (columns, coincidence forest, letter -> column, live, merged).
 
-    Coset 0 is the subgroup generated by the `subgroup` words (letters of
-    `pres`): each is scanned and filled at coset 0 before the main loop,
-    as HLT does, so the table enumerates that subgroup's cosets.  HLT fills
-    each row as it processes the coset, and coincidences refill the rows
-    they touch, so a closed table has no undefined entry (Holt, Eick &
-    O'Brien 2005, 5.1); under NBASE_CHECK=1 one raises `TrustViolation`.
+    The table is stored as columns: tab[c][a] is the coset that column c
+    leads coset a to.  Coset a is live when p[a] == a; a dead coset's
+    entries are None.  Coset 0 is the subgroup generated by the `subgroup`
+    words (letters of `pres`): each is scanned and filled at coset 0 before
+    the main loop, as HLT does, so the table enumerates that subgroup's
+    cosets.  HLT fills every column of a coset as it processes it, and
+    coincidences refill the entries they touch, so a closed table has no
+    undefined entry (Holt, Eick & O'Brien 2005, 5.1); under NBASE_CHECK=1
+    one raises `TrustViolation`.
     """
     max_cosets = _cap(max_cosets)
     g = pres.generators
@@ -194,7 +212,11 @@ def _enumerate(pres, max_cosets, subgroup=()):
             col[l], col[-l] = c, c + 1
             inv.extend((c + 1, c))
     ncols = len(inv)
-    # Per relator: its columns and their inverses, the last position, its
+    # tab[c][a] is the entry of coset a in column c, None while undefined;
+    # skip[a] holds the bits of the scans coset a skips, None once processed.
+    tab = [[None] for _ in range(ncols)]
+    pairs = [(tab[c], tab[inv[c]]) for c in range(ncols)]
+    # Per relator: its column lists and their inverses, the last position, its
     # marks, and its bit.  A mark pairs a column with whether the word reads
     # again from the cycle position q after it, forwards (a rotation) or
     # backwards (the inverse columns from q down, a rotation of `back`);
@@ -208,15 +230,12 @@ def _enumerate(pres, max_cosets, subgroup=()):
         back = icols[::-1]
         again = [cols[q:] + cols[:q] == cols or back[-q:] + back[:-q] == cols
                  for q in range(1, len(cols) + 1)]
-        scans.append((cols, icols, len(cols) - 1,
-                      tuple(zip(cols, again)) if any(again[:-1]) else None, 1 << len(scans) - 1))
+        scans.append(([tab[c] for c in cols], [tab[c] for c in icols], len(cols) - 1,
+                      [(tab[c], m) for c, m in zip(cols, again)] if any(again[:-1]) else None,
+                      1 << len(scans) - 1, cols))
     full = (1 << len(scans) - 1) - 1
 
-    # Rows have the public width, one more slot without an involution:
-    # slot ncols holds the bits of the scans a coset skips, None once it is
-    # processed; the slots from ncols on are dropped by the compaction.
-    blank = [None] * ncols + [0] + [None] * (2 * g - ncols - 1)
-    table = [blank[:]]
+    skip = [0]
     p = [0]
     live = 1
     merged = 0
@@ -229,17 +248,18 @@ def _enumerate(pres, max_cosets, subgroup=()):
             p[a], a = root, p[a]
         return root
 
-    def define(a, c):
+    def define(a, cl, icl):
         nonlocal live
         if live >= max_cosets:
             raise Overflow("coset cap %d exceeded: defined %d, live %d, merged %d"
-                           % (max_cosets, len(table), live, merged))
-        b = len(table)
-        row = blank[:]
-        row[inv[c]] = a
-        table.append(row)
+                           % (max_cosets, len(p), live, merged))
+        b = len(p)
+        for c in tab:
+            c.append(None)
+        icl[b] = a
+        cl[a] = b
         p.append(b)
-        table[a][c] = b
+        skip.append(0)
         live += 1
         return b
 
@@ -259,37 +279,35 @@ def _enumerate(pres, max_cosets, subgroup=()):
         merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            row = table[dead]
-            for c in range(ncols):
-                d = row[c]
+            for cl, icl in pairs:
+                d = cl[dead]
                 if d is None:
                     continue
-                row[c] = None
-                ci = inv[c]
-                if table[d][ci] == dead:
-                    table[d][ci] = None
+                cl[dead] = None
+                if icl[d] == dead:
+                    icl[d] = None
                 mu, nu = rep(dead), rep(d)
-                if table[mu][c] is not None:
-                    merge(nu, table[mu][c], queue)
-                elif table[nu][ci] is not None:
-                    merge(mu, table[nu][ci], queue)
+                if cl[mu] is not None:
+                    merge(nu, cl[mu], queue)
+                elif icl[nu] is not None:
+                    merge(mu, icl[nu], queue)
                 else:
-                    table[mu][c] = nu
-                    table[nu][ci] = mu
-            table[dead] = None
+                    cl[mu] = nu
+                    icl[nu] = mu
+            skip[dead] = None
 
-    def scan_and_fill(a, cols, icols, last):
+    def scan_and_fill(a, cls, icls, last):
         f, b = a, a
         fi, bi = 0, last
         while True:
             while fi <= bi:
-                nxt = table[f][cols[fi]]
+                nxt = cls[fi][f]
                 if nxt is None:
                     break
                 f = nxt
                 fi += 1
             while bi >= fi:
-                nxt = table[b][icols[bi]]
+                nxt = icls[bi][b]
                 if nxt is None:
                     break
                 b = nxt
@@ -299,54 +317,54 @@ def _enumerate(pres, max_cosets, subgroup=()):
                     coincidence(f, b)
                 return
             if bi == fi:
-                table[f][cols[fi]] = b
-                table[b][icols[fi]] = f
+                cls[fi][f] = b
+                icls[fi][b] = f
                 return
-            f = define(f, cols[fi])
+            f = define(f, cls[fi], icls[fi])
             fi += 1
 
     for w in subgroup:
-        cols = tuple(col[l] for l in w)
-        scan_and_fill(0, cols, tuple(inv[c] for c in cols), len(cols) - 1)
+        cols = [col[l] for l in w]
+        scan_and_fill(0, [tab[c] for c in cols], [tab[inv[c]] for c in cols], len(cols) - 1)
     a = 0
-    while a < len(table):
-        skip = table[a][ncols] if p[a] == a else None
-        todo = 0 if skip is None else full if _CHECK else full & ~skip
+    while a < len(p):
+        bits = skip[a]  # None for a dead coset
+        todo = 0 if bits is None else full if _CHECK else full & ~bits
         while todo:
-            cols, icols, last, marks, bit = scans[todo.bit_length()]
+            cls, icls, last, marks, bit, cols = scans[todo.bit_length()]
             todo ^= bit
             f = a
-            for c in cols:
-                f = table[f][c]
+            for cl in cls:
+                f = cl[f]
                 if f is None:
                     break
-            if skip & bit:
+            if bits & bit:
                 if f != a:
                     raise TrustViolation("skipped scan of columns %r does not close"
                                          " at coset %d" % (cols, a))
                 continue
             if f != a:
-                scan_and_fill(a, cols, icols, last)
+                scan_and_fill(a, cls, icls, last)
                 if p[a] != a:
                     break
             if marks:
                 f = a
-                for c, mark in marks:
-                    f = table[f][c]
+                for cl, mark in marks:
+                    f = cl[f]
                     if mark and f > a:
-                        table[f][ncols] |= bit
+                        skip[f] |= bit
         if p[a] == a:
-            row = table[a]
-            row[ncols] = None
-            for c in range(ncols):
-                if row[c] is None:
-                    define(a, c)
+            skip[a] = None
+            for cl, icl in pairs:
+                if cl[a] is None:
+                    define(a, cl, icl)
         a += 1
     if _CHECK:
-        for a, row in enumerate(table):
-            if row is not None and None in row[:ncols]:
-                raise TrustViolation("closed coset table leaves coset %d undefined" % a)
-    return table, p, col, live, merged
+        live_ids = [a for a in range(len(p)) if p[a] == a]
+        holes = [a for cl in tab for a in live_ids if cl[a] is None]
+        if holes:
+            raise TrustViolation("closed coset table leaves coset %d undefined" % min(holes))
+    return tab, p, col, live, merged
 
 
 # -- tree presentations ----------------------------------------------------

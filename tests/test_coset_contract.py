@@ -10,7 +10,7 @@ table must be complete, `todd_coxeter`'s rows must hold no None, every
 relator and its inverse must lead each coset back to itself (walked here,
 not by the enumerator), and with no subgroup words `_coset_counts` must
 give `todd_coxeter`'s counts.  With a subgroup word the walk reads the
-internal table of `presentations._enumerate`, whose live rows are the
+internal columns of `presentations._enumerate`, whose live cosets are the
 subgroup's cosets; the word must also fix coset 0, the subgroup itself.
 """
 
@@ -64,12 +64,12 @@ def test_returned_tables_are_complete():
             continue
         assert ct.complete and ct.order == ct.live, pres
         if sub:
-            table, _, col = presentations._enumerate(pres, CAP, sub)[:3]
-            live = [a for a, row in enumerate(table) if row is not None]
+            tab, p, col = presentations._enumerate(pres, CAP, sub)[:3]
+            live = [a for a in range(len(p)) if p[a] == a]
             assert len(live) == ct.live
 
             def step(a, letter):
-                return table[a][col[letter]]
+                return tab[col[letter]][a]
 
             assert relators_close(step, live, pres.relators), (pres, sub)
             assert walk(step, 0, sub[0]) == 0, (pres, sub)
