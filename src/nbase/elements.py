@@ -190,13 +190,14 @@ def make(level, factors, indices):
 
 
 class _ReadOnly(dict):
-    """A dict whose write methods raise TypeError: the maps of one shape
-    are shared.  It pickles and deep-copies as an equal read-only map."""
+    """A dict whose write methods raise TypeError: the shuffle maps of one
+    shape are shared, and an edge structure's incidence belongs to a record.
+    It pickles and deep-copies as an equal read-only map."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("shuffle maps are shared and read-only")
+        raise TypeError("the map is read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse

@@ -150,19 +150,23 @@ def catalan(k):
 def free_plain_algebra_count(level, sizes, y, bound):
     """Size of the free-algebra component over y, truncated at `bound` factors.
 
-    sizes maps level-(n-1) elements to finite cardinalities; the count is the
-    sum over all z with total y and at most `bound` factors of the product of
-    the sizes of z's entries.  Sizes and the bound are ints >= 0, and a term
+    The level is an int >= 1; sizes maps level-(level-1) elements to finite
+    cardinalities, and y is at level - 1 too.  The count is the sum over
+    all z with total y and at most `bound` factors of the product of the
+    sizes of z's entries.  Sizes and the bound are ints >= 0, and a term
     that could have more than 2**16 bits raises SizeBound; above level 1
     the walk is bounded as the enumeration's is (MAX_FACTOR_SUM).
     """
+    _count_arg("free-algebra count", "level", level, 1)
+    for x in (*sizes, y):
+        if getattr(x, "level", None) != level - 1:
+            raise LevelMismatch("level-%d free-algebra count takes level-%d elements, got %r"
+                                % (level, level - 1, x))
     for size in sizes.values():
         _count_arg("free-algebra count", "size", size)
     _count_arg("free-algebra count", "bound", bound)
     _count_bits("free-algebra count", bound, max(sizes.values(), default=0))
     if level == 1:
-        if y != POINT:
-            raise LevelMismatch("level-1 totals are the point")
         c = sizes.get(POINT, 0)
         # c + c**2 + ... + c**bound
         return bound if c == 1 else (c ** (bound + 1) - c) // (c - 1)

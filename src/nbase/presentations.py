@@ -17,7 +17,7 @@ from math import factorial, prod
 from operator import index
 from typing import NamedTuple
 
-from .elements import _CHECK
+from .elements import _CHECK, _ReadOnly
 from .errors import NotBinary, Overflow, RangeViolation, SizeBound, TrustViolation
 from .trees import _lists
 
@@ -374,7 +374,7 @@ class EdgeStructure(NamedTuple):
     """Adjacency tree of the factors of a binary element."""
     node_count: int
     edges: tuple          # sorted (u, v) pairs with u < v, 1-based factors
-    incidence: dict       # node -> tuple of edge numbers (1-based)
+    incidence: dict       # node -> tuple of edge numbers (1-based), read-only
 
 
 def edge_structure(x):
@@ -388,7 +388,7 @@ def edge_structure(x):
     for num, (u, v) in enumerate(edges, start=1):
         incidence.setdefault(u, []).append(num)
         incidence.setdefault(v, []).append(num)
-    incidence = {k: tuple(v) for k, v in incidence.items()}
+    incidence = _ReadOnly({k: tuple(v) for k, v in incidence.items()})
     return EdgeStructure(x.m, tuple(edges), incidence)
 
 

@@ -149,6 +149,21 @@ REFUSALS = [
      lambda: free_plain_algebra_count(2, {corolla(2): 3.0}, corolla(3), 2)),
     ("free-algebra count of bound 10**5", SizeBound, "terms of 65536 bits",
      lambda: free_plain_algebra_count(1, {POINT: 3}, POINT, 10 ** 5)),
+    ("free-algebra count of level 0", RangeViolation, "int level >= 1, got 0",
+     lambda: free_plain_algebra_count(0, {corolla(2): 1}, corolla(3), 2)),
+    ("free-algebra count of level 'x'", RangeViolation, "int level >= 1, got 'x'",
+     lambda: free_plain_algebra_count("x", {corolla(2): 1}, corolla(3), 2)),
+    ("free-algebra count of level True", RangeViolation, "int level >= 1, got True",
+     lambda: free_plain_algebra_count(True, {POINT: 1}, POINT, 2)),
+    ("free-algebra count of level-1 sizes at level 3", LevelMismatch,
+     "level-3 free-algebra count takes level-2 elements, got <1:2>",
+     lambda: free_plain_algebra_count(3, {corolla(2): 1}, corolla(3), 2)),
+    ("free-algebra count of level-2 sizes at level 2", LevelMismatch,
+     "level-2 free-algebra count takes level-1 elements, got <2:[2|]>",
+     lambda: free_plain_algebra_count(2, {pe("[2|]"): 1}, pe("[2,2|1]"), 3)),
+    ("free-algebra count of a level-2 total at level 2", LevelMismatch,
+     "level-2 free-algebra count takes level-1 elements, got <2:[2,2|1]>",
+     lambda: free_plain_algebra_count(2, {corolla(2): 1}, pe("[2,2|1]"), 3)),
 ]
 
 # a raw level that is not an int is refused in either index order: the
