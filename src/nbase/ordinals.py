@@ -62,13 +62,23 @@ class Ordinal:
 
     Equality is ``cmp`` and the hash is that of the literal, so neither
     recurses per nesting level; normal forms are unique, so equal values
-    have one literal.
+    have one literal.  Ordinals are immutable: ``ONE`` and ``ZERO`` and
+    the summands of a sum are shared, so setting or deleting ``terms``
+    raises AttributeError.  Pickle and copy rebuild an equal ordinal.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = terms
+        _set_terms(self, terms)
+
+    def _refuse(self, *args):
+        raise AttributeError("ordinals are immutable")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __reduce__(self):
+        return Ordinal, (self.terms,)
 
     def is_zero(self):
         return not self.terms
@@ -81,6 +91,9 @@ class Ordinal:
 
     def __repr__(self):
         return "<ord %s>" % format_ordinal(self)
+
+
+_set_terms = Ordinal.terms.__set__
 
 
 # cmp recurses once per nesting level of subscripts (parsing, formatting
@@ -103,6 +116,8 @@ ONE = Ordinal((None,))
 
 
 def from_int(n):
+    if n.__class__ is not int:  # bools and floats too: (None,) * n needs an int
+        raise OutOfRange("a finite ordinal needs an int count, got %r" % (n,))
     if n < 0:
         raise OutOfRange("ordinals are nonnegative")
     if n > MAX_ARITY:
@@ -159,6 +174,10 @@ def _cmp_sums(xs, ys):
 
 def add(x, y):
     """Normal-form sum: trailing terms of x below y's lead are absorbed."""
+    if x.terms == (None,):  # 1 + y: y absorbs the 1 when its lead is infinite
+        if not y.terms:
+            return x
+        return y if y.terms[0] is not None else Ordinal((None,) + y.terms)
     return _sum((x, y))
 
 
@@ -187,7 +206,7 @@ def phi(a, b):
 
     phi_1 is the shifted omega power; a must be at least 1.
     """
-    if cmp(a, ONE) < 0:
+    if not a.terms:
         raise OutOfRange("phi subscript must be >= 1")
     if len(b.terms) == 1 and b.terms[0] is not None:
         c, _d = b.terms[0]
@@ -218,9 +237,7 @@ def hier(k, g):
     own fixed points the same way."""
     if g.is_zero():
         raise OutOfRange("attachment values are >= 1")
-    if k == 1:
-        return omega_pow(g)
-    return phi(from_int(k), pred1(g))
+    return phi(ONE if k == 1 else from_int(k), pred1(g))
 
 
 # -- formatting and parsing --------------------------------------------------
@@ -348,7 +365,9 @@ def eval_phin(z, alphas=None):
 
 def _walk(z, bindings, level):
     if level == 1:
-        return _sum(bindings.get(p, ONE) for p in range(1, z.arity + 1))
+        if not bindings:
+            return Ordinal((None,) * z.arity)
+        return _sum([bindings.get(p, ONE) for p in range(1, z.arity + 1)])
     # factors in reverse order, so a factor's children are done before it;
     # each occupied slot is bound to hier(level - 1, value of its child)
     children = _lists(z)
@@ -375,6 +394,8 @@ def encode(beta, n):
     Constructive: each term of beta becomes one column of the result.
     Implemented for levels 1 through 4.
     """
+    if n.__class__ is not int:  # True would be read as level 1
+        raise LevelMismatch("encode needs an int level, got %r" % (n,))
     if n < 1:
         raise OutOfRange("level must be >= 1")
     if n > 4:

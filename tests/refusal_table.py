@@ -42,7 +42,7 @@ from nbase.morphisms import (
     identity_two,
     induced_two_on_composition,
 )
-from nbase.ordinals import ONE, eval_phin, from_int, parse_ordinal, to_int
+from nbase.ordinals import ONE, encode, eval_phin, from_int, parse_ordinal, to_int
 from nbase.presentations import edge_structure
 from nbase.render import render_dot
 from nbase.trees import to_tree
@@ -165,6 +165,16 @@ REFUSALS = [
      "level-2 free-algebra count takes level-1 elements, got <2:[2,2|1]>",
      lambda: free_plain_algebra_count(2, {corolla(2): 1}, pe("[2,2|1]"), 3)),
 ]
+
+# a level or count whose class is not int, bools included, is named
+REFUSALS += [("encode at level %r" % (level,), LevelMismatch,
+              "encode needs an int level, got %r" % (level,),
+              lambda level=level: encode(parse_ordinal("w+1"), level))
+             for level in (2.0, "2", None, True)]
+REFUSALS += [("finite ordinal of count %r" % (count,), OutOfRange,
+              "a finite ordinal needs an int count, got %r" % (count,),
+              lambda count=count: from_int(count))
+             for count in (2.0, "2", None, True)]
 
 # a raw level that is not an int is refused in either index order: the
 # canonical order of the unsorted sequence is [9955,3,2|1,7]
